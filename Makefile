@@ -39,9 +39,9 @@ bench-shm:
 bench-recovery:
 	go run ./cmd/benchlab -recoverpin
 
-# The session-overhead pin on its own: wire v2 (sequence numbers + replay
-# buffer + CRC32C frame integrity) must stay within 5% of plain typed
-# framing on a 1 MiB TCP ping-pong.
+# The session-overhead pin on its own: a world with resilient sessions armed
+# (HubSuspicion) must stay within 5% of a plain RunTCP world on a 1 MiB TCP
+# ping-pong.
 bench-session:
 	go run ./cmd/benchlab -sessionpin
 

@@ -42,7 +42,7 @@ func main() {
 		shmout     = flag.String("shmbench-out", "BENCH_shm.json", "output path for -shmbench")
 		shmiters   = flag.Int("shmbench-iters", 20000, "region-launch iterations for -shmbench")
 		recpin     = flag.Bool("recoverpin", false, "check that inert WithRecovery costs <= 2% on the ping-pong path (exit 1 if not)")
-		sesspin    = flag.Bool("sessionpin", false, "check that resilient sessions (wire v2: seq numbers + CRC32C) cost <= 5% over wire v1 on a 1 MiB TCP ping-pong (exit 1 if not)")
+		sesspin    = flag.Bool("sessionpin", false, "check that arming resilient sessions (HubSuspicion) costs <= 5% over a plain RunTCP world on a 1 MiB TCP ping-pong (exit 1 if not)")
 		vecbench   = flag.Bool("vecbench", false, "run the large-payload vector-collective and TCP-framing benchmarks, merge into BENCH_mpi.json, and enforce the speedup pins")
 		vecquick   = flag.Bool("vecbench-quick", false, "abbreviated -vecbench smoke: fewest sizes, one round, no pin enforcement")
 		shmtbench  = flag.Bool("shmtbench", false, "run the shared-memory transport benchmarks (shm vs TCP, eager/rendezvous crossover), merge into BENCH_mpi.json, and enforce the speedup pins")

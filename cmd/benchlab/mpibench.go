@@ -69,14 +69,14 @@ type mpiBenchReport struct {
 		} `json:"time_to_respawn_ns"`
 	} `json:"recovery"`
 	// Session is the resilient-session overhead section: a 1 MiB []byte
-	// ping-pong over the real TCP transport through wire v1 (typed framing,
-	// no sessions) vs the default wire v2 (per-frame sequence numbers +
-	// CRC32C integrity). The overhead is what crash-survivable, corruption-
-	// detecting framing costs on the data plane; scripts/check.sh pins it
-	// at <= 5% via -sessionpin.
+	// ping-pong over the real TCP transport with sessions off (plain
+	// RunTCP: a broken connection fails the rank) vs on (HubSuspicion: it
+	// is redialed and resumed). The overhead is what arming crash-survivable
+	// connections costs on the data plane; scripts/check.sh pins it at
+	// <= 5% via -sessionpin.
 	Session struct {
-		V1Ns        float64 `json:"wire_v1_ns_per_message"`
-		V2Ns        float64 `json:"wire_v2_ns_per_message"`
+		OffNs       float64 `json:"sessions_off_ns_per_message"`
+		OnNs        float64 `json:"sessions_on_ns_per_message"`
 		OverheadPct float64 `json:"session_overhead_pct"`
 	} `json:"session_1mib_tcp"`
 	// Vector is the large-payload data-plane section, written by -vecbench
@@ -224,8 +224,8 @@ func runMPIBench(path string, iters int) error {
 		r.Recovery.TimeToRecoverNs.NP2, r.Recovery.TimeToRecoverNs.NP4, r.Recovery.TimeToRecoverNs.NP8)
 	fmt.Printf("  time to respawn:           np=2 %8.0f ns   np=4 %8.0f ns   np=8 %8.0f ns\n",
 		r.Recovery.TimeToRespawnNs.NP2, r.Recovery.TimeToRespawnNs.NP4, r.Recovery.TimeToRespawnNs.NP8)
-	fmt.Printf("  session 1MiB tcp:          v1 %8.0f ns/msg   v2 %8.0f ns/msg   overhead %+.2f%%\n",
-		r.Session.V1Ns, r.Session.V2Ns, r.Session.OverheadPct)
+	fmt.Printf("  session 1MiB tcp:          off %7.0f ns/msg   on %8.0f ns/msg   overhead %+.2f%%\n",
+		r.Session.OffNs, r.Session.OnNs, r.Session.OverheadPct)
 	fmt.Printf("\nwrote %s\n", path)
 	return nil
 }

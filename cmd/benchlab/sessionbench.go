@@ -8,18 +8,18 @@ import (
 	"repro/internal/mpi"
 )
 
-// Session-overhead microbenchmark: what the resilient wire (v2: per-frame
-// sequence numbers, a bounded sender-side replay buffer, and CRC32C frame
-// integrity) costs over plain typed framing (v1) on the path where it is
-// most visible — a large payload over the real TCP transport, where the
-// checksum has a whole MiB to digest and the sequencing bookkeeping runs
-// once per frame. The pre-merge gate pins the overhead at <= 5% via
-// -sessionpin: resilience must stay close to free, or it would be the
-// wrong default.
+// Session-overhead microbenchmark: what arming resilient sessions
+// (HubSuspicion: a broken connection is redialed and resumed inside a grace
+// window instead of failing the rank) costs over a plain RunTCP world on the
+// path where it is most visible — a large payload over the real TCP
+// transport. Both worlds speak the one wire (sequence numbers, replay
+// buffer, CRC32C); the switch decides what a broken connection means. The
+// pre-merge gate pins the overhead at <= 5% via -sessionpin: turning
+// resilience on must stay close to free.
 
 // sessionPayloadBytes is the ping-pong payload: 1 MiB, the acceptance
 // pin's reference size, comfortably above the raw-frame streaming
-// threshold so the v2 measurement includes the streamed-frame CRC path.
+// threshold so the measurement includes the streamed-frame CRC path.
 const sessionPayloadBytes = 1 << 20
 
 // sessionIters derives a round's iteration count from -mpibench-iters:
@@ -82,16 +82,20 @@ func timePingPongTCP(iters int, opts ...mpi.Option) (float64, error) {
 	return float64(elapsed.Nanoseconds()) / float64(2*iters), nil
 }
 
-// sessionPinPct is the acceptance pin: resilient sessions may cost at most
-// this much over plain typed framing on the 1 MiB TCP ping-pong.
+// sessionPinPct is the acceptance pin: a world with sessions armed may cost
+// at most this much over a plain world on the 1 MiB TCP ping-pong.
 const sessionPinPct = 5.0
 
-// measureSessionFloor interleaves best-of-N 1 MiB TCP ping-pongs through
-// wire v1 and wire v2 and returns each configuration's floor plus the
-// overhead percentage. More rounds are sampled while the delta is above the
-// pin — extra minima can only shrink both sides, so only a genuine overhead
-// keeps the gap open through the cap.
-func measureSessionFloor(iters int) (v1, v2, pct float64, err error) {
+// sessionGrace is the suspicion window the sessions-on world arms. No
+// connection breaks during the benchmark; the window only has to be set.
+const sessionGrace = 5 * time.Second
+
+// measureSessionFloor interleaves best-of-N 1 MiB TCP ping-pongs with
+// sessions off (plain RunTCP) and on (HubSuspicion) and returns each
+// configuration's floor plus the overhead percentage. More rounds are
+// sampled while the delta is above the pin — extra minima can only shrink
+// both sides, so only a genuine overhead keeps the gap open through the cap.
+func measureSessionFloor(iters int) (off, on, pct float64, err error) {
 	const minRounds, maxRounds = 3, 10
 	si := sessionIters(iters)
 	// Settle the heap first: when this runs after the allocation-heavy gob
@@ -101,53 +105,52 @@ func measureSessionFloor(iters int) (v1, v2, pct float64, err error) {
 	if _, err = timePingPongTCP(si / 2); err != nil { // warmup
 		return 0, 0, 0, err
 	}
-	v1, v2 = -1.0, -1.0
+	off, on = -1.0, -1.0
 	for round := 0; round < maxRounds; round++ {
-		a, aerr := timePingPongTCP(si, mpi.WithWireCompat(1))
+		a, aerr := timePingPongTCP(si)
 		if aerr != nil {
 			return 0, 0, 0, aerr
 		}
-		b, berr := timePingPongTCP(si)
+		b, berr := timePingPongTCP(si, mpi.WithHubOptions(mpi.HubSuspicion(sessionGrace)))
 		if berr != nil {
 			return 0, 0, 0, berr
 		}
-		if v1 < 0 || a < v1 {
-			v1 = a
+		if off < 0 || a < off {
+			off = a
 		}
-		if v2 < 0 || b < v2 {
-			v2 = b
+		if on < 0 || b < on {
+			on = b
 		}
-		pct = (v2 - v1) / v1 * 100
+		pct = (on - off) / off * 100
 		if round >= minRounds-1 && pct <= sessionPinPct {
 			break
 		}
 	}
-	return v1, v2, pct, nil
+	return off, on, pct, nil
 }
 
 // benchSession fills the report's Session section with the converged
 // interleaved-minima floors, the same numbers -sessionpin gates on.
 func benchSession(r *mpiBenchReport, iters int) error {
-	v1, v2, pct, err := measureSessionFloor(iters)
+	off, on, pct, err := measureSessionFloor(iters)
 	if err != nil {
 		return err
 	}
-	r.Session.V1Ns = v1
-	r.Session.V2Ns = v2
+	r.Session.OffNs = off
+	r.Session.OnNs = on
 	r.Session.OverheadPct = pct
 	return nil
 }
 
 // runSessionPin is the pre-merge gate's session-overhead check: fail if
-// sequence numbers + replay buffering + CRC32C cost more than 5% on the
-// 1 MiB TCP ping-pong.
+// arming sessions costs more than 5% on the 1 MiB TCP ping-pong.
 func runSessionPin(iters int) error {
-	v1, v2, pct, err := measureSessionFloor(iters)
+	off, on, pct, err := measureSessionFloor(iters)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("session pin: 1 MiB tcp ping-pong, wire v1 %.0f ns/msg, wire v2 (seq+CRC) %.0f ns/msg, overhead %+.2f%% (pin <= %.0f%%)\n",
-		v1, v2, pct, sessionPinPct)
+	fmt.Printf("session pin: 1 MiB tcp ping-pong, sessions off %.0f ns/msg, sessions on %.0f ns/msg, overhead %+.2f%% (pin <= %.0f%%)\n",
+		off, on, pct, sessionPinPct)
 	if pct > sessionPinPct {
 		return fmt.Errorf("session overhead %.2f%% exceeds the %.0f%% pin", pct, sessionPinPct)
 	}

@@ -38,11 +38,11 @@ func TestHubSurvivesWorkerCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(conn).Encode(hello{Rank: 1}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(hello{Rank: 1, Wire: wireVersion}); err != nil {
 		t.Fatal(err)
 	}
-	var start frame
-	if err := gob.NewDecoder(conn).Decode(&start); err != nil {
+	start, _, err := newWireReader(conn).readFrame()
+	if err != nil {
 		t.Fatalf("reading start frame: %v", err)
 	}
 	if start.Tag != tagStart {

@@ -37,8 +37,8 @@ const (
 	FaultKillRank
 	// FaultCorrupt flips one bit of the matched frame's payload in flight —
 	// after the CRC is computed, so the receiver's integrity check fires.
-	// On a resilient (wire v2) TCP session the corruption is detected by
-	// the hub, the connection is torn down, and the clean captured copy is
+	// On a TCP session the corruption is detected by the hub, the
+	// connection is torn down, and the clean captured copy is
 	// retransmitted on resume: the program never observes it. On transports
 	// without frame integrity the fault downgrades to a pass-through (the
 	// local and shm transports hand over the very memory the sender wrote;

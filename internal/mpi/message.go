@@ -113,7 +113,7 @@ func (s Status) String() string {
 // the TCP transport, which serializes the value before Send returns (see
 // wire.go) and so may reference the caller's slice directly. Data with a
 // non-zero Raw carries the raw little-endian encoding of a whitelisted
-// slice (rawcodec.go), produced and consumed by the v1 TCP framing; the
+// slice (rawcodec.go), produced and consumed by the TCP framing; the
 // buffer is pooled, so consumers release it via decodeInto or release.
 type frame struct {
 	Ctx    int64 // communicator context id

@@ -235,8 +235,7 @@ func growSlice[T any](s []T, n int) []T {
 // rawDecode materializes a raw payload as a fresh value of its sent type:
 // the fallback when the receiver's pointer type does not match (the value is
 // then gob round-tripped so mismatch behavior is identical to the serialized
-// path), and the conversion step when the hub forwards a raw frame to a
-// legacy gob-only connection.
+// path).
 func rawDecode(kind byte, data []byte) (any, error) {
 	switch kind {
 	case rawFloat64:

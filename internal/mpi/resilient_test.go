@@ -188,52 +188,41 @@ func TestCorruptFaultWithoutSuspicionSurfaces(t *testing.T) {
 
 // TestDelayedRankNeverDeclaredFailed: a rank slowed by FaultDelay — but
 // still connected and answering heartbeats — must never be promoted to
-// failed, on both the typed and the legacy gob wire. Suspicion and
-// heartbeat react to broken connections and dead processes, not to slowness;
-// that is WithDeadline's job.
+// failed. Suspicion and heartbeat react to broken connections and dead
+// processes, not to slowness; that is WithDeadline's job.
 func TestDelayedRankNeverDeclaredFailed(t *testing.T) {
-	wires := []struct {
-		name string
-		opt  Option
-	}{
-		{"typed", func(*config) {}},
-		{"gob", withWireLegacy()},
-	}
-	for _, wire := range wires {
-		wire := wire
-		t.Run(wire.name, func(t *testing.T) {
-			plan := FaultPlan{Rules: []FaultRule{
-				{Src: 1, Dst: AnySource, Tag: AnyTag, Count: 6, Action: FaultDelay, Delay: 120 * time.Millisecond},
-			}}
-			var mu sync.Mutex
-			observedFailed := map[int][]int{}
-			err := runWithWatchdog(t, 60*time.Second, func() error {
-				return RunTCP(3, func(c *Comm) error {
-					for iter := 0; iter < 8; iter++ {
-						if _, err := Allreduce(c, 1, func(a, b int) int { return a + b }); err != nil {
-							return err
-						}
+	t.Run("typed", func(t *testing.T) {
+		plan := FaultPlan{Rules: []FaultRule{
+			{Src: 1, Dst: AnySource, Tag: AnyTag, Count: 6, Action: FaultDelay, Delay: 120 * time.Millisecond},
+		}}
+		var mu sync.Mutex
+		observedFailed := map[int][]int{}
+		err := runWithWatchdog(t, 60*time.Second, func() error {
+			return RunTCP(3, func(c *Comm) error {
+				for iter := 0; iter < 8; iter++ {
+					if _, err := Allreduce(c, 1, func(a, b int) int { return a + b }); err != nil {
+						return err
 					}
-					mu.Lock()
-					observedFailed[c.Rank()] = c.FailedRanks()
-					mu.Unlock()
-					return nil
-				}, WithRecovery(), WithFaults(plan), wire.opt,
-					WithHubOptions(HubHeartbeat(25*time.Millisecond), HubSuspicion(2*time.Second)))
-			})
-			if err != nil {
-				t.Fatalf("slow rank must not fail the world, got %v", err)
-			}
-			if len(observedFailed) != 3 {
-				t.Fatalf("only %d of 3 ranks completed", len(observedFailed))
-			}
-			for r, failed := range observedFailed {
-				if len(failed) != 0 {
-					t.Errorf("rank %d observed failed ranks %v; slowness is not failure", r, failed)
 				}
-			}
+				mu.Lock()
+				observedFailed[c.Rank()] = c.FailedRanks()
+				mu.Unlock()
+				return nil
+			}, WithRecovery(), WithFaults(plan),
+				WithHubOptions(HubHeartbeat(25*time.Millisecond), HubSuspicion(2*time.Second)))
 		})
-	}
+		if err != nil {
+			t.Fatalf("slow rank must not fail the world, got %v", err)
+		}
+		if len(observedFailed) != 3 {
+			t.Fatalf("only %d of 3 ranks completed", len(observedFailed))
+		}
+		for r, failed := range observedFailed {
+			if len(failed) != 0 {
+				t.Errorf("rank %d observed failed ranks %v; slowness is not failure", r, failed)
+			}
+		}
+	})
 }
 
 // respawnLaunchers: respawn recovery must behave identically on the

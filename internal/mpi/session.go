@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Resilient TCP sessions. A wire-v2 connection is a *session*: every frame a
+// Resilient TCP sessions. Every TCP connection is a *session*: every frame a
 // side sends carries a monotonically increasing sequence number, the receiver
 // periodically acknowledges the highest sequence it has accepted, and the
 // sender keeps the encoded bytes of every unacknowledged frame in a bounded
@@ -155,6 +155,52 @@ func (s *sendSession) drop() {
 		putWireBuf(e.buf)
 	}
 	s.replay, s.replayBytes = nil, 0
+}
+
+// transmit is the send step both ends of a session share: assign the frame
+// its sequence number, then either park it in the replay buffer (parked: the
+// connection is down and a resume is pending), stream it as a replay gap (a
+// raw frame over replayFrameMax), or capture, write, flush, and record it.
+// When the write breaks, the frame is made safe for replay first — a
+// streamed frame is captured after the fact, its payload still intact, so
+// the resume is not doomed by the very frame that broke it — and broken
+// reports the write error; the caller applies its break policy (the hub
+// suspends, a worker reconnects, a session without grace dies). An encoding
+// error comes back with broken false and leaves the connection untouched.
+func (s *sendSession) transmit(w *wireWriter, f frame, parked bool) (broken bool, err error) {
+	seq := s.nextSeq()
+	if !parked && rawPayloadSize(f) > replayFrameMax {
+		err := w.writeFrameDirect(f, seq)
+		if err == nil {
+			err = w.flush()
+		}
+		if err == nil {
+			s.gap(seq)
+			return false, nil
+		}
+		if buf, eerr := w.encodeFrame(f, seq); eerr == nil {
+			s.record(seq, buf)
+		} else {
+			s.gap(seq)
+		}
+		return true, err
+	}
+	buf, err := w.encodeFrame(f, seq)
+	if err != nil {
+		return false, err
+	}
+	if parked {
+		s.record(seq, buf)
+		return false, nil
+	}
+	werr := w.writeEncoded(buf)
+	if werr == nil {
+		werr = w.flush()
+	}
+	// Record after the write: record may evict old frames under budget
+	// pressure, and the buffer being written must not be reclaimed mid-write.
+	s.record(seq, buf)
+	return werr != nil, werr
 }
 
 // recvSession is the receiving half: duplicate suppression (retransmitted

@@ -138,9 +138,8 @@ func TestRecvSessionDupAndAckCadence(t *testing.T) {
 // data corruption or a generic decode failure.
 func TestWireCRCDetectsBitFlip(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion2)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1, rd.v2 = true, true
 
 	payload := []float64{1, 2, 3, 4}
 	f := frame{Ctx: 1, Src: 0, WSrc: 0, Dst: 1, Tag: 5, Val: payload, HasVal: true}
@@ -196,9 +195,8 @@ func TestWireCRCDetectsBitFlip(t *testing.T) {
 // verifies the same CRC as the captured path.
 func TestWireCRCDetectsBitFlipDirect(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion2)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1, rd.v2 = true, true
 
 	payload := make([]float64, 64<<10/8*3) // 3x replayFrameMax: always streamed
 	for i := range payload {

@@ -280,7 +280,7 @@ func (t *shmTransport) startPolling() {
 	go t.pollLoop()
 }
 
-// wiresTyped: like the v1 TCP wire, the shm transport consumes frame.Val
+// wiresTyped: like the TCP wire, the shm transport consumes frame.Val
 // synchronously inside Send (encoding it into the ring or staging region),
 // so the send path may pass the caller's slice uncopied.
 func (t *shmTransport) wiresTyped() bool { return true }

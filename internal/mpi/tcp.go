@@ -21,13 +21,10 @@ import (
 // the non-overtaking guarantee carries over from the in-process transport.
 //
 // Wire protocol, per connection. The stream opens with a gob hello carrying
-// the worker's wire version; each direction is then framed at the version
-// the worker announced (see wire.go): version 0 is the original pure gob
-// stream, version 1 adds kind-byte framing with raw little-endian payloads
-// for the whitelist, and version 2 — the default — turns the connection into
-// a resumable *session* (session.go): every frame carries a sequence number,
-// raw frames carry a CRC32C, receivers ack cumulatively, and senders keep
-// unacknowledged frames in a bounded replay buffer. Message sequence:
+// the worker's rank and wire version; both directions are then framed as a
+// resumable *session* (wire.go, session.go): every frame carries a sequence
+// number, raw frames carry a CRC32C, receivers ack cumulatively, and senders
+// keep unacknowledged frames in a bounded replay buffer. Message sequence:
 //
 //	hello{Rank, Wire}      worker -> hub, once, identifies the rank
 //	frame{Tag: tagStart}   hub -> worker, once, after all ranks joined;
@@ -54,7 +51,7 @@ import (
 //	frame{Dst: ctrlDst, Tag: tagRevoke, Ctx: c} worker -> hub, context c revoked
 //	frame{Tag: tagRevoke, Ctx: c}           hub -> worker, revoke broadcast
 //
-// Resilient sessions (HubSuspicion, wire v2) change what a broken connection
+// Resilient sessions (HubSuspicion) change what a broken connection
 // means. When a worker's connection breaks — on either side — the hub marks
 // the rank *suspected* (not failed), parks its frames in the replay buffer,
 // and arms a grace timer; the worker redials with hello{Resume: true, Ack}
@@ -88,11 +85,10 @@ const (
 
 type hello struct {
 	Rank int
-	// Wire announces the highest framing version the worker speaks: 0 for
-	// the original pure-gob stream, 1 for kind-byte framing, 2 for resumable
-	// sessions. The hub answers in kind — each side of the connection is
-	// framed at the version the worker announced, so mixed worlds
-	// interoperate.
+	// Wire announces the framing the worker speaks and must equal
+	// wireVersion. Every rank runs the same binary, so there is nothing to
+	// negotiate: the hub refuses any other value, failing the world with an
+	// error that names the rank and the version.
 	Wire int
 	// Resume marks a session-resume dial: the worker's original connection
 	// broke and it is redialing within the grace window. Ack carries the
@@ -165,9 +161,8 @@ func HubHeartbeat(interval time.Duration) HubOption {
 // frames park in the replay buffer while the worker redials and resumes
 // from the last acknowledged sequence — and only if the grace window
 // expires without a successful resume is the rank promoted to failed
-// (recovery hubs) or the world revoked (plain hubs). Requires wire v2
-// workers (the default); legacy connections fail immediately as before.
-// Zero (the default) disables suspicion: any break is instantly fatal.
+// (recovery hubs) or the world revoked (plain hubs). Zero (the default)
+// disables suspicion: any break is instantly fatal.
 func HubSuspicion(d time.Duration) HubOption {
 	return func(o *hubOptions) { o.suspicion = d }
 }
@@ -197,27 +192,6 @@ func WithDialRetry(budget time.Duration) Option {
 	return func(c *config) { c.dialRetry = budget }
 }
 
-// WithTCPNoDelay sets TCP_NODELAY on the worker's hub connection. Go enables
-// it by default (segments leave immediately, the right call for the
-// latency-sensitive framing this transport uses); passing false re-enables
-// Nagle's algorithm, trading per-message latency for fewer small segments —
-// the classic knob a bandwidth-bound many-small-messages workload can try.
-// The option is a no-op on non-TCP transports and non-TCP connections.
-func WithTCPNoDelay(enabled bool) Option {
-	return func(c *config) {
-		b := enabled
-		c.noDelay = &b
-	}
-}
-
-// withWireLegacy forces the worker to speak the v0 pure-gob wire, as an
-// old binary would. Unexported: real programs have no reason to downgrade,
-// but the interop tests use it to exercise the hub's version-mismatch path
-// (raw frames converted back to gob for legacy destinations).
-func withWireLegacy() Option {
-	return func(c *config) { c.wireLegacy = true }
-}
-
 // errHubConnDead marks a send into a hub connection that has been retired
 // (the worker reported done, its suspicion expired, or it was replaced by a
 // respawn). The router drops such frames instead of failing the world: the
@@ -239,6 +213,7 @@ type Hub struct {
 	mu       sync.Mutex
 	conns    map[int]*hubConn
 	complete bool // all np ranks admitted
+	closed   bool // shut down: late registrations are turned away
 	done     int
 	epoch    int // membership epoch; bumped by each respawn re-admission
 	err      error
@@ -262,14 +237,13 @@ type hubAgree struct {
 }
 
 // hubConn is the hub's half of one worker's session: the connection, the
-// framing layers, and (wire v2) the send/receive session state. mu guards
+// framing layers, and the send/receive session state. mu guards
 // everything except doneCounted, which h.mu guards (the done count and the
 // per-conn flag must change atomically together). Lock order: h.mu may be
 // taken before hc.mu, never the reverse.
 type hubConn struct {
 	h    *Hub
 	rank int
-	wire int
 
 	// resumeMu serializes resume attempts for this rank: two racing redials
 	// must not both swap the connection.
@@ -297,78 +271,26 @@ func (hc *hubConn) send(f frame) error {
 	return hc.sendLocked(f)
 }
 
-// sendLocked frames one outbound frame at the worker's wire version. On a
-// v2 session the frame is sequenced and captured for replay; a write error
-// under suspicion-eligible conditions suspends the connection (the frame is
-// already safe in the replay buffer) instead of surfacing the error.
+// sendLocked sequences one outbound frame through the session (parking it
+// while the connection is suspended). A write error under suspicion-eligible
+// conditions suspends the connection — the frame is already safe in the
+// replay buffer — instead of surfacing the error.
 func (hc *hubConn) sendLocked(f frame) error {
 	if hc.dead {
 		return errHubConnDead
 	}
-	if hc.wire < wireVersion2 {
-		return hc.w.writeFrame(f)
-	}
-	seq := hc.sendq.nextSeq()
-	if hc.suspended {
-		// Connection down, grace running: park the frame for retransmission.
-		buf, err := hc.w.encodeFrame(f, seq)
-		if err != nil {
-			return err
-		}
-		hc.sendq.record(seq, buf)
+	broken, err := hc.sendq.transmit(hc.w, f, hc.suspended)
+	if broken && hc.canSuspendLocked() {
+		hc.suspendLocked()
 		return nil
 	}
-	if n := rawPayloadSize(f); n > replayFrameMax {
-		// Large raw frame: stream it without capturing (the zero-copy path)
-		// and record the sequence as a replay gap. Only if the write breaks
-		// is the frame captured after the fact — the payload is still intact
-		// — so the resume is not doomed by the very frame that broke it.
-		err := hc.w.writeFrameDirect(f, seq)
-		if err == nil {
-			err = hc.w.flush()
-		}
-		if err == nil {
-			hc.sendq.gap(seq)
-			return nil
-		}
-		if buf, eerr := hc.w.encodeFrame(f, seq); eerr == nil {
-			hc.sendq.record(seq, buf)
-		} else {
-			hc.sendq.gap(seq)
-		}
-		return hc.streamBrokenLocked(err)
-	}
-	buf, err := hc.w.encodeFrame(f, seq)
-	if err != nil {
-		return err
-	}
-	werr := hc.w.writeEncoded(buf)
-	if werr == nil {
-		werr = hc.w.flush()
-	}
-	// Record after the write: record may evict old frames under budget
-	// pressure, and the buffer being written must not be reclaimed mid-write.
-	hc.sendq.record(seq, buf)
-	if werr != nil {
-		return hc.streamBrokenLocked(werr)
-	}
-	return nil
+	return err
 }
 
 // canSuspendLocked reports whether this connection's breaks are absorbed by
 // the suspicion machinery rather than being immediately fatal.
 func (hc *hubConn) canSuspendLocked() bool {
-	return hc.h.opts.suspicion > 0 && hc.wire >= wireVersion2 && hc.h.started.Load()
-}
-
-// streamBrokenLocked handles a write error: suspend if the session can
-// resume, otherwise surface the error to the caller.
-func (hc *hubConn) streamBrokenLocked(err error) error {
-	if hc.canSuspendLocked() {
-		hc.suspendLocked()
-		return nil
-	}
-	return err
+	return hc.h.opts.suspicion > 0 && hc.h.started.Load()
 }
 
 // suspendLocked marks the connection suspected: the socket is closed (so
@@ -498,6 +420,14 @@ func (h *Hub) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	if hi.Wire != wireVersion {
+		// Never guess a framing: a peer that speaks another wire would read
+		// every frame we send as garbage, and we would misread its frames.
+		h.fail(fmt.Errorf("mpi: hub: rank %d announced wire version %d, this hub speaks only version %d",
+			hi.Rank, hi.Wire, wireVersion))
+		conn.Close()
+		return
+	}
 	if hi.Resume {
 		h.resumeWorker(conn, hi)
 		return
@@ -507,26 +437,16 @@ func (h *Hub) admit(conn net.Conn) {
 		return
 	}
 
-	// First-time registration. Frame each direction at the worker's version.
-	rd.v1 = hi.Wire >= wireVersion
-	rd.v2 = hi.Wire >= wireVersion2
-	hc := &hubConn{
-		h:          h,
-		rank:       hi.Rank,
-		wire:       hi.Wire,
-		conn:       conn,
-		w:          newWireWriter(conn, hi.Wire),
-		rd:         rd,
-		readerDown: make(chan struct{}),
-	}
-	if rd.v2 {
-		rd.onAck = func(ack uint64) {
-			hc.mu.Lock()
-			hc.sendq.trim(ack)
-			hc.mu.Unlock()
-		}
-	}
+	// First-time registration.
+	hc := newHubConn(h, hi.Rank, conn, rd)
 	h.mu.Lock()
+	if h.closed {
+		// The world failed while this hello was in flight; shutdown has
+		// already closed every registered connection and would miss this one.
+		h.mu.Unlock()
+		conn.Close()
+		return
+	}
 	if _, dup := h.conns[hi.Rank]; dup {
 		h.mu.Unlock()
 		h.fail(fmt.Errorf("mpi: hub: duplicate worker for rank %d", hi.Rank))
@@ -542,8 +462,9 @@ func (h *Hub) admit(conn net.Conn) {
 		if h.formTimer != nil {
 			h.formTimer.Stop()
 		}
-		for _, c := range h.conns {
-			all = append(all, c)
+		all = make([]*hubConn, h.np)
+		for r, c := range h.conns {
+			all[r] = c
 		}
 		if h.opts.heartbeat > 0 {
 			h.lastPong = make(map[int]time.Time, h.np)
@@ -561,11 +482,9 @@ func (h *Hub) admit(conn net.Conn) {
 			h.fail(fmt.Errorf("mpi: hub start signal: %w", encErr))
 			return
 		}
-		for _, c := range all {
-			if err := c.send(frame{Tag: tagStart, Data: data}); err != nil {
-				h.fail(fmt.Errorf("mpi: hub start signal: %w", err))
-				return
-			}
+		if err := h.broadcastStart(all, data); err != nil {
+			h.fail(fmt.Errorf("mpi: hub start signal: %w", err))
+			return
 		}
 		h.started.Store(true)
 		if h.opts.heartbeat > 0 {
@@ -573,6 +492,57 @@ func (h *Hub) admit(conn net.Conn) {
 		}
 	}
 	h.route(hc, conn, hc.readerDown)
+}
+
+// hubStartHook, when set, runs after each start frame is written, with that
+// connection's rank. Tests use it to widen the window between two ranks'
+// start signals.
+var hubStartHook func(rank int)
+
+// broadcastStart writes the start frame to every connection, in rank order,
+// while holding every connection's lock. The first rank to start may send at
+// once, and its route loop forwards those frames to peers; holding the locks
+// makes those forwards wait, so no connection sees a routed frame before its
+// own start frame. Only this function ever holds two hubConn locks, so the
+// rank-ordered acquisition cannot deadlock.
+func (h *Hub) broadcastStart(all []*hubConn, data []byte) error {
+	for _, c := range all {
+		c.mu.Lock()
+	}
+	defer func() {
+		for _, c := range all {
+			c.mu.Unlock()
+		}
+	}()
+	for _, c := range all {
+		if err := c.sendLocked(frame{Tag: tagStart, Data: data}); err != nil {
+			return err
+		}
+		if hook := hubStartHook; hook != nil {
+			hook(c.rank)
+		}
+	}
+	return nil
+}
+
+// newHubConn wraps one admitted connection in its session state. The reader
+// already consumed the hello; acks it reads from now on trim this session's
+// replay buffer.
+func newHubConn(h *Hub, rank int, conn net.Conn, rd *wireReader) *hubConn {
+	hc := &hubConn{
+		h:          h,
+		rank:       rank,
+		conn:       conn,
+		w:          newWireWriter(conn),
+		rd:         rd,
+		readerDown: make(chan struct{}),
+	}
+	rd.onAck = func(ack uint64) {
+		hc.mu.Lock()
+		hc.sendq.trim(ack)
+		hc.mu.Unlock()
+	}
+	return hc
 }
 
 // resumeWorker handles a session-resume dial: validate, park the old reader,
@@ -589,7 +559,7 @@ func (h *Hub) resumeWorker(conn net.Conn, hi hello) {
 	h.mu.Lock()
 	hc := h.conns[hi.Rank]
 	h.mu.Unlock()
-	if hc == nil || hc.wire < wireVersion2 || h.opts.suspicion <= 0 {
+	if hc == nil || h.opts.suspicion <= 0 {
 		refuse()
 		return
 	}
@@ -651,16 +621,7 @@ func (h *Hub) resumeWorker(conn net.Conn, hi hello) {
 	// its own tail concurrently, and draining it keeps the kernel buffers
 	// from filling while ours flow the other way.
 	go h.route(hc, conn, hc.readerDown)
-	var werr error
-	for _, e := range entries {
-		if werr = hc.w.writeEncoded(e.buf); werr != nil {
-			break
-		}
-	}
-	if werr == nil {
-		werr = hc.w.flush()
-	}
-	if werr != nil {
+	if werr := hc.w.writeTail(entries); werr != nil {
 		// The fresh connection broke during retransmission. Stay suspended:
 		// the original grace timer still stands, so a dead worker is still
 		// promoted to failed on schedule while a live one retries.
@@ -722,25 +683,7 @@ func (h *Hub) respawnWorker(conn net.Conn, hi hello, rd *wireReader) {
 		}
 	}
 
-	rd.v1 = hi.Wire >= wireVersion
-	rd.v2 = hi.Wire >= wireVersion2
-	hc := &hubConn{
-		h:          h,
-		rank:       hi.Rank,
-		wire:       hi.Wire,
-		conn:       conn,
-		w:          newWireWriter(conn, hi.Wire),
-		rd:         rd,
-		readerDown: make(chan struct{}),
-	}
-	if rd.v2 {
-		rd.onAck = func(ack uint64) {
-			hc.mu.Lock()
-			hc.sendq.trim(ack)
-			hc.mu.Unlock()
-		}
-	}
-
+	hc := newHubConn(h, hi.Rank, conn, rd)
 	h.mu.Lock()
 	// Done-accounting: the slot must be counted exactly once when the world
 	// finally winds down. If the dead incarnation was already counted done,
@@ -846,11 +789,10 @@ func (h *Hub) heartbeatLoop() {
 }
 
 // route forwards every frame read from one worker connection until the
-// worker reports done or the connection breaks. Sequenced (v2) frames are
-// dup-suppressed and acknowledged through the receive session; raw frames
-// are forwarded verbatim to capable destinations and converted back to gob
-// for legacy ones. down is closed on return so a resume can safely reuse
-// the wireReader.
+// worker reports done or the connection breaks. Frames are dup-suppressed
+// and acknowledged through the receive session; raw payloads are forwarded
+// verbatim. down is closed on return so a resume can safely reuse the
+// wireReader.
 func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 	defer close(down)
 	rd := hc.rd
@@ -860,26 +802,24 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 			h.readerBroken(hc, conn, err)
 			return
 		}
-		if hc.wire >= wireVersion2 && seq > 0 {
-			hc.mu.Lock()
-			if hc.dead || hc.conn != conn {
-				// The session moved on (resume swapped the connection, or the
-				// rank was retired) while this frame was in flight.
-				hc.mu.Unlock()
-				f.release()
-				return
-			}
-			dup, ackNow := hc.recvq.note(seq)
-			if dup {
-				hc.mu.Unlock()
-				f.release()
-				continue
-			}
-			if ackNow && !hc.suspended {
-				_ = hc.w.writeAck(hc.recvq.seqIn)
-			}
+		hc.mu.Lock()
+		if hc.dead || hc.conn != conn {
+			// The session moved on (resume swapped the connection, or the
+			// rank was retired) while this frame was in flight.
 			hc.mu.Unlock()
+			f.release()
+			return
 		}
+		dup, ackNow := hc.recvq.note(seq)
+		if dup {
+			hc.mu.Unlock()
+			f.release()
+			continue
+		}
+		if ackNow && !hc.suspended {
+			_ = hc.w.writeAck(hc.recvq.seqIn)
+		}
+		hc.mu.Unlock()
 		if f.Dst == ctrlDst {
 			switch f.Tag {
 			case tagDone:
@@ -888,11 +828,14 @@ func (h *Hub) route(hc *hubConn, conn net.Conn, down chan struct{}) {
 				// until the replay buffer clears — then retire the session so
 				// its connection teardown is not mistaken for a failure.
 				hc.mu.Lock()
-				if hc.wire >= wireVersion2 && !hc.dead && !hc.suspended && hc.conn == conn {
+				if !hc.dead && !hc.suspended && hc.conn == conn {
 					_ = hc.w.writeAck(hc.recvq.seqIn)
 				}
 				hc.retireLocked()
 				hc.mu.Unlock()
+				// Close first: the worker waits for this before closing its
+				// own end (see tcpTransport.Close).
+				conn.Close()
 				h.workerDoneConn(hc)
 				return
 			case tagAbort:
@@ -1227,6 +1170,7 @@ func (h *Hub) shutdown() {
 	h.mu.Lock()
 	conns := h.conns
 	h.conns = map[int]*hubConn{}
+	h.closed = true
 	if h.formTimer != nil {
 		h.formTimer.Stop()
 	}
@@ -1271,15 +1215,13 @@ const (
 )
 
 // tcpTransport is one rank's side of the TCP world: the hub connection, the
-// framing layers, and — on wire v2 — the session state that lets a broken
-// connection be redialed and resumed instead of killing the rank. mu guards
-// all mutable state; cond wakes the reader (parked during reconnects) and
-// anyone waiting for the reader to park.
+// framing layers, and the session state that lets a broken connection be
+// redialed and resumed instead of killing the rank. mu guards all mutable
+// state; cond wakes the reader (parked during reconnects) and anyone waiting
+// for the reader to park.
 type tcpTransport struct {
-	addr    string
-	rank    int
-	wire    int
-	noDelay *bool
+	addr string
+	rank int
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -1291,111 +1233,53 @@ type tcpTransport struct {
 	grace      time.Duration // suspicion window learned from the start frame
 	gen        int           // connection generation; stale errors are discarded by it
 	readerBusy bool          // a recvFrame is inside readFrame without the lock
-	closing    bool          // drain started: the rank is done and tearing down
+	closing    bool          // done sent: the rank is tearing down
 	send       sendSession
 	recv       recvSession
 }
 
-func newTCPTransport(addr string, rank int, conn net.Conn, wire int, noDelay *bool) *tcpTransport {
+func newTCPTransport(addr string, rank int, conn net.Conn) *tcpTransport {
 	t := &tcpTransport{
-		addr:    addr,
-		rank:    rank,
-		wire:    wire,
-		noDelay: noDelay,
-		conn:    conn,
-		w:       newWireWriter(conn, wire),
-		rd:      newWireReader(conn),
+		addr: addr,
+		rank: rank,
+		conn: conn,
+		w:    newWireWriter(conn),
+		rd:   newWireReader(conn),
 	}
 	t.cond = sync.NewCond(&t.mu)
-	t.rd.v1 = wire >= wireVersion
-	t.rd.v2 = wire >= wireVersion2
-	if t.rd.v2 {
-		t.rd.onAck = func(ack uint64) {
-			t.mu.Lock()
-			t.send.trim(ack)
-			if len(t.send.replay) == 0 {
-				t.cond.Broadcast() // a drain may be waiting for the tail to clear
-			}
-			t.mu.Unlock()
+	t.rd.onAck = func(ack uint64) {
+		t.mu.Lock()
+		t.send.trim(ack)
+		if len(t.send.replay) == 0 {
+			t.cond.Broadcast() // a drain may be waiting for the tail to clear
 		}
+		t.mu.Unlock()
 	}
 	return t
 }
 
-// Send frames one outbound frame. On a v2 session the frame is sequenced
-// and captured for replay; a write error with a grace window configured
-// moves the transport into reconnection (the frame is safe in the replay
-// buffer) instead of surfacing the error. writeFrame and friends serialize
-// typed payloads on the spot, so frame.Val is fully consumed by the time
-// Send returns (the wireCapable contract).
+// Send sequences one outbound frame through the session (parking it while
+// the transport reconnects). A write error with a grace window configured
+// moves the transport into reconnection — the frame is safe in the replay
+// buffer — instead of surfacing the error. The wire serializes typed
+// payloads on the spot, so frame.Val is fully consumed by the time Send
+// returns (the wireCapable contract).
 func (t *tcpTransport) Send(f frame) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	switch t.state {
-	case tcpDead:
+	if t.state == tcpDead {
 		return fmt.Errorf("mpi: tcp send: %w", t.deadErr)
-	case tcpReconnecting:
-		seq := t.send.nextSeq()
-		buf, err := t.w.encodeFrame(f, seq)
-		if err != nil {
-			return err
-		}
-		t.send.record(seq, buf)
-		return nil
 	}
-	if t.wire < wireVersion2 {
-		if err := t.w.writeFrame(f); err != nil {
-			t.dieLocked(err)
-			return fmt.Errorf("mpi: tcp send: %w", err)
-		}
-		return nil
-	}
-	seq := t.send.nextSeq()
-	if n := rawPayloadSize(f); n > replayFrameMax {
-		// Stream the large frame without capturing it (the zero-copy path);
-		// its sequence becomes a replay gap. If the write breaks, capture it
-		// after the fact — the payload is still intact — so the resume is
-		// not doomed by the very frame that broke it.
-		err := t.w.writeFrameDirect(f, seq)
-		if err == nil {
-			err = t.w.flush()
-		}
-		if err == nil {
-			t.send.gap(seq)
-			return nil
-		}
-		if t.grace > 0 {
-			if buf, eerr := t.w.encodeFrame(f, seq); eerr == nil {
-				t.send.record(seq, buf)
-			} else {
-				t.send.gap(seq)
-			}
-			t.enterReconnectLocked(err)
-			return nil
-		}
-		t.dieLocked(err)
-		return fmt.Errorf("mpi: tcp send: %w", err)
-	}
-	buf, err := t.w.encodeFrame(f, seq)
-	if err != nil {
+	broken, err := t.send.transmit(t.w, f, t.state == tcpReconnecting)
+	if !broken {
 		return err
 	}
-	werr := t.w.writeEncoded(buf)
-	if werr == nil {
-		werr = t.w.flush()
+	if t.grace > 0 {
+		t.enterReconnectLocked(err)
+		return nil
 	}
-	// Record after the write: record may evict old frames under budget
-	// pressure, and the buffer being written must not be reclaimed mid-write.
-	t.send.record(seq, buf)
-	if werr != nil {
-		if t.grace > 0 {
-			t.enterReconnectLocked(werr)
-			return nil
-		}
-		t.dieLocked(werr)
-		return fmt.Errorf("mpi: tcp send: %w", werr)
-	}
-	return nil
+	t.dieLocked(err)
+	return fmt.Errorf("mpi: tcp send: %w", err)
 }
 
 // recvFrame reads the next frame from the hub, riding out reconnections:
@@ -1431,8 +1315,7 @@ func (t *tcpTransport) recvFrame() (frame, error) {
 				t.mu.Unlock()
 				continue
 			}
-			if t.wire >= wireVersion2 && t.grace > 0 &&
-				!(t.closing && len(t.send.replay) == 0) {
+			if t.grace > 0 && !(t.closing && len(t.send.replay) == 0) {
 				// Not worth resuming once the rank is done and its tail is
 				// acknowledged: the hub retiring the session closes the
 				// connection, and that EOF is teardown, not a break.
@@ -1451,16 +1334,14 @@ func (t *tcpTransport) recvFrame() (frame, error) {
 			t.mu.Unlock()
 			continue
 		}
-		if t.wire >= wireVersion2 && seq > 0 {
-			dup, ackNow := t.recv.note(seq)
-			if dup {
-				t.mu.Unlock()
-				f.release()
-				continue
-			}
-			if ackNow && t.state == tcpActive {
-				_ = t.w.writeAck(t.recv.seqIn)
-			}
+		dup, ackNow := t.recv.note(seq)
+		if dup {
+			t.mu.Unlock()
+			f.release()
+			continue
+		}
+		if ackNow && t.state == tcpActive {
+			_ = t.w.writeAck(t.recv.seqIn)
 		}
 		t.mu.Unlock()
 		return f, nil
@@ -1526,15 +1407,10 @@ func (t *tcpTransport) reconnect(cause error) {
 			}
 			continue
 		}
-		if t.noDelay != nil {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				_ = tc.SetNoDelay(*t.noDelay)
-			}
-		}
 		// A fresh one-shot encoder for the resume hello: the hub reads it
 		// with a fresh decoder, so the session's persistent gob streams —
 		// which must survive the swap byte-exact — are never touched.
-		if err := gob.NewEncoder(conn).Encode(hello{Rank: t.rank, Wire: t.wire, Resume: true, Ack: ack}); err != nil {
+		if err := gob.NewEncoder(conn).Encode(hello{Rank: t.rank, Wire: wireVersion, Resume: true, Ack: ack}); err != nil {
 			conn.Close()
 			time.Sleep(backoff)
 			continue
@@ -1589,16 +1465,7 @@ func (t *tcpTransport) reconnect(cause error) {
 		// reader re-acquires the lock only between frames, so the tail below
 		// goes out contiguously before any new Send interleaves.)
 		t.cond.Broadcast()
-		var werr error
-		for _, e := range entries {
-			if werr = t.w.writeEncoded(e.buf); werr != nil {
-				break
-			}
-		}
-		if werr == nil {
-			werr = t.w.flush()
-		}
-		if werr != nil {
+		if werr := t.w.writeTail(entries); werr != nil {
 			// The fresh connection broke during retransmission; go around.
 			// The hub side stays suspended on its original grace timer.
 			t.enterReconnectLocked(werr)
@@ -1629,7 +1496,7 @@ func (t *tcpTransport) severConnection() {
 func (t *tcpTransport) corruptNextFrame() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.wire < wireVersion2 || t.state == tcpDead {
+	if t.state == tcpDead {
 		return false
 	}
 	t.w.corruptNext = true
@@ -1650,34 +1517,60 @@ func (t *tcpTransport) corruptNextFrame() bool {
 func (t *tcpTransport) drain() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.closing = true
-	if t.wire < wireVersion2 || t.grace <= 0 {
+	if t.grace <= 0 {
 		return
 	}
+	t.waitLocked(t.grace+time.Second, func() bool {
+		return t.state == tcpDead || (t.state == tcpActive && len(t.send.replay) == 0)
+	})
+}
+
+// closeLinger bounds how long Close waits for the hub to close its end.
+const closeLinger = time.Second
+
+// sendDone reports to the hub that this rank is finished; nothing follows
+// it on the wire.
+func (t *tcpTransport) sendDone() {
+	_ = t.Send(frame{Dst: ctrlDst, Tag: tagDone})
+	t.mu.Lock()
+	t.closing = true
+	t.mu.Unlock()
+}
+
+// Close ends the transport. After done it first waits (bounded) for the
+// hub to close its end, which the hub does once it has read done: a socket
+// closed with unread bytes in its receive queue — the hub's last acks —
+// answers with a reset, and the reset discards whatever the hub has not
+// read yet of this rank's final frames, done included.
+func (t *tcpTransport) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closing {
+		t.waitLocked(closeLinger, func() bool { return t.state == tcpDead })
+	}
+	t.dieLocked(errors.New("mpi: tcp transport closed"))
+	return nil
+}
+
+// waitLocked blocks on the condition variable until done reports true or d
+// elapses. Caller holds t.mu.
+func (t *tcpTransport) waitLocked(d time.Duration, done func() bool) {
 	timedOut := false
-	timer := time.AfterFunc(t.grace+time.Second, func() {
+	timer := time.AfterFunc(d, func() {
 		t.mu.Lock()
 		timedOut = true
 		t.mu.Unlock()
 		t.cond.Broadcast()
 	})
 	defer timer.Stop()
-	for !timedOut && t.state != tcpDead &&
-		(t.state == tcpReconnecting || len(t.send.replay) > 0) {
+	for !timedOut && !done() {
 		t.cond.Wait()
 	}
 }
 
-func (t *tcpTransport) Close() error {
-	t.mu.Lock()
-	t.dieLocked(errors.New("mpi: tcp transport closed"))
-	t.mu.Unlock()
-	return nil
-}
-
-// wiresTyped: a v1+ connection raw-encodes whitelisted typed payloads
-// synchronously inside Send (see wireCapable in transport.go).
-func (t *tcpTransport) wiresTyped() bool { return t.wire >= wireVersion }
+// wiresTyped: the wire raw-encodes whitelisted typed payloads synchronously
+// inside Send (see wireCapable in transport.go).
+func (t *tcpTransport) wiresTyped() bool { return true }
 
 // defaultDialRetry is JoinTCP's dial budget when WithDialRetry is not set:
 // long enough to ride out a hub that is still binding its listener, short
@@ -1771,28 +1664,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	if err != nil {
 		return err
 	}
-	if cfg.noDelay != nil {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			if err := tc.SetNoDelay(*cfg.noDelay); err != nil {
-				conn.Close()
-				return fmt.Errorf("mpi: setting TCP_NODELAY: %w", err)
-			}
-		}
-	}
-	wireVer := wireVersion2
-	if cfg.wireLegacy {
-		wireVer = 0
-	}
-	if cfg.wireCompat != nil {
-		wireVer = *cfg.wireCompat
-		if wireVer < 0 {
-			wireVer = 0
-		}
-		if wireVer > wireVersion2 {
-			wireVer = wireVersion2
-		}
-	}
-	t := newTCPTransport(addr, rank, conn, wireVer, cfg.noDelay)
+	t := newTCPTransport(addr, rank, conn)
 	// The data-plane transport: the hub connection alone, or the shm
 	// endpoint layered over it. The segment must be attached before the
 	// hello goes out, so every peer's sticky shm-vs-TCP routing decision —
@@ -1813,7 +1685,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	}
 	defer data.Close()
 
-	if err := t.w.writeHello(hello{Rank: rank, Wire: wireVer, Respawn: respawn}); err != nil {
+	if err := t.w.writeHello(hello{Rank: rank, Wire: wireVersion, Respawn: respawn}); err != nil {
 		return fmt.Errorf("mpi: hello to hub: %w", err)
 	}
 
@@ -1843,7 +1715,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	default:
 		return fmt.Errorf("mpi: unexpected frame before start signal (tag %d)", start.Tag)
 	}
-	if si.SuspicionNs > 0 && wireVer >= wireVersion2 {
+	if si.SuspicionNs > 0 {
 		// Arm session resumption: from here on a broken connection is a
 		// reconnect-and-resume episode, not a death sentence.
 		t.mu.Lock()
@@ -1874,8 +1746,8 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		names:     names,
 		gate:      cfg.gate,
 		epoch:     time.Now(),
-		typed:     cfg.typedWorld(transport), // always false: both wires serialize
-		wire:      cfg.wireWorld(transport),  // v1+ framing/shm: raw-encode in Send, uncopied
+		typed:     cfg.typedWorld(transport), // always false: the wire serializes
+		wire:      cfg.wireWorld(transport),  // raw-encode in Send, uncopied
 		deadline:  cfg.deadline,
 		faults:    cfg.faultT,
 		nodeOf:    cfg.nodeOf,
@@ -1960,7 +1832,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 
 	runErr := runRank(w, rank, main)
 	if runErr == nil {
-		_ = t.Send(frame{Dst: ctrlDst, Tag: tagDone})
+		t.sendDone()
 		// Settle the session before the deferred Close tears it down: a rank
 		// that only ever sent may owe the hub its whole unacknowledged tail.
 		t.drain()
@@ -1969,7 +1841,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	if errors.Is(runErr, ErrWorldAborted) {
 		// A victim of someone else's failure: the revoke is already
 		// propagating, so just finish the done protocol.
-		_ = t.Send(frame{Dst: ctrlDst, Tag: tagDone})
+		t.sendDone()
 		return runErr
 	}
 	if w.recov != nil {
@@ -1981,7 +1853,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 		if data, encErr := encodeValue(abortInfo{Rank: rank, Msg: runErr.Error()}); encErr == nil {
 			_ = t.Send(frame{Dst: ctrlDst, Tag: tagFailed, Data: data})
 		}
-		_ = t.Send(frame{Dst: ctrlDst, Tag: tagDone})
+		t.sendDone()
 		t.drain() // the failure report must not be stranded mid-resume
 		return runErr
 	}
@@ -1993,7 +1865,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	if data, encErr := encodeValue(abortInfo{Rank: rank, Msg: runErr.Error()}); encErr == nil {
 		_ = t.Send(frame{Dst: ctrlDst, Tag: tagAbort, Data: data})
 	}
-	_ = t.Send(frame{Dst: ctrlDst, Tag: tagDone})
+	t.sendDone()
 	return &abortError{cause: runErr}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestRunTCPRankAndSize(t *testing.T) {
@@ -216,5 +218,87 @@ func TestRunTCPMasterWorkerPattern(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHubStartPrecedesRoutedFrames: the hub writes the start signal to one
+// connection after another, and a rank that has started may send at once.
+// The hook widens the window between start signals until the started rank
+// has sent to every peer and its frames have had time to reach the hub's
+// router. No rank may receive a routed frame before its own start signal
+// ("unexpected frame before start signal").
+func TestHubStartPrecedesRoutedFrames(t *testing.T) {
+	const np = 3
+	sent := make([]chan struct{}, np)
+	for i := range sent {
+		sent[i] = make(chan struct{})
+	}
+	hubStartHook = func(rank int) {
+		if rank == np-1 {
+			return // admitted last: its route loop starts after the broadcast
+		}
+		select {
+		case <-sent[rank]:
+		case <-time.After(5 * time.Second):
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	defer func() { hubStartHook = nil }()
+
+	hub, err := StartHub("127.0.0.1:0", np, HubFormationTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	main := func(c *Comm) error {
+		for peer := 0; peer < np; peer++ {
+			if peer != c.Rank() {
+				if err := c.Send(peer, 7, c.Rank()); err != nil {
+					return err
+				}
+			}
+		}
+		close(sent[c.Rank()])
+		for peer := 0; peer < np; peer++ {
+			if peer == c.Rank() {
+				continue
+			}
+			var got int
+			if _, err := c.Recv(peer, 7, &got); err != nil {
+				return err
+			}
+			if got != peer {
+				return fmt.Errorf("rank %d got %d from rank %d", c.Rank(), got, peer)
+			}
+		}
+		return nil
+	}
+	errs := make([]error, np)
+	var wg sync.WaitGroup
+	for rank := 0; rank < np; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			errs[rank] = JoinTCP(hub.Addr(), rank, np, main)
+		}(rank)
+		// Admit the ranks in order, so every rank but the last has a
+		// running route loop while the start signals go out.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			hub.mu.Lock()
+			n := len(hub.conns)
+			hub.mu.Unlock()
+			if n == rank+1 || time.Now().After(deadline) {
+				break
+			}
+		}
+	}
+	wg.Wait()
+	if err := hub.Wait(); err != nil {
+		t.Errorf("hub: %v", err)
+	}
+	for rank, err := range errs {
+		if err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+		}
 	}
 }

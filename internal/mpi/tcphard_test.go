@@ -213,11 +213,11 @@ func TestHubHeartbeatDetectsSilentWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(hello{Rank: 0}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(hello{Rank: 0, Wire: wireVersion}); err != nil {
 		t.Fatal(err)
 	}
-	var start frame
-	if err := gob.NewDecoder(conn).Decode(&start); err != nil {
+	start, _, err := newWireReader(conn).readFrame()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if start.Tag != tagStart {

@@ -33,7 +33,7 @@ type typedCapable interface {
 }
 
 // wireCapable is implemented by transports that serialize a frame's typed
-// payload (frame.Val) into the v1 binary wire format *synchronously inside
+// payload (frame.Val) into the binary wire format *synchronously inside
 // Send*. The distinction from typedCapable matters for copy semantics: a
 // typed-delivering transport hands Val to another goroutine, so the send
 // path must copy it first (typedPayload); a wire-capable transport has

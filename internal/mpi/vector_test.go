@@ -24,9 +24,6 @@ func parityRunners() map[string]func(np int, main func(c *Comm) error, opts ...O
 			return Run(np, main, append(opts, WithSerialization())...)
 		},
 		"tcp": RunTCP,
-		"tcp-legacy": func(np int, main func(c *Comm) error, opts ...Option) error {
-			return RunTCP(np, main, append(opts, withWireLegacy())...)
-		},
 	}
 }
 
@@ -67,7 +64,7 @@ func TestVectorCollectiveParity(t *testing.T) {
 	}
 	for name, runner := range runners {
 		t.Run(name, func(t *testing.T) {
-			if name == "tcp" || name == "tcp-legacy" {
+			if name == "tcp" {
 				t.Parallel()
 			}
 			for _, np := range nps {

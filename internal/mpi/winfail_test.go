@@ -34,11 +34,22 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			var mu sync.Mutex
 			observed := map[int]error{}
+			created := make(chan struct{}, np)
 			err := runWithWatchdog(t, 30*time.Second, func() error {
 				return l.run(np, func(c *Comm) error {
 					w, err := WinCreate[float64](c, 16)
 					if err != nil {
 						return err
+					}
+					if c.Rank() != victim {
+						created <- struct{}{}
+					} else {
+						// Die only once every survivor holds its window: WinCreate
+						// is collective, and a kill that lands while a survivor is
+						// still inside it fails that survivor before the epoch.
+						for i := 0; i < np-1; i++ {
+							<-created
+						}
 					}
 					block := make([]float64, 16)
 					for i := range block {

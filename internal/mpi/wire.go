@@ -14,73 +14,60 @@ import (
 // le abbreviates the byte order every raw header and payload uses.
 var le = binary.LittleEndian
 
-// Typed binary framing for the TCP transport. Version 0 of the wire — what
-// PR 1 shipped — was a bare gob stream: every frame, whatever its payload,
-// went through gob's reflective encoder and straight to an unbuffered
-// connection write. Version 1 keeps the gob stream (it is still the fallback
-// for every non-whitelisted payload and every control frame) but frames it:
-// each message starts with a one-byte kind, either
-//
-//	kindGob  followed by one gob-encoded frame, or
-//	kindRaw  followed by a fixed little-endian header and the payload's
-//	         element storage verbatim (see rawcodec.go):
-//
-//	         Ctx int64 | Src int32 | WSrc int32 | Dst int32 | Tag int32 |
-//	         raw kind byte | payload length uint32 | payload bytes
-//
-// Version 2 turns the connection into a resumable *session* (session.go):
-// every data frame carries a uint64 sequence number between the kind byte
-// and the body, raw frames append a CRC32C to the header, and a third kind —
-// kindAck — carries the receiver's cumulative acknowledgement:
+// Typed binary framing for the TCP transport. Every connection is a
+// resumable *session* (session.go): each data frame carries a one-byte kind
+// and a uint64 sequence number, raw frames add a fixed little-endian header
+// and a CRC32C, and a third kind carries the receiver's cumulative
+// acknowledgement:
 //
 //	kindGob  seq uint64 | one gob-encoded frame
-//	kindRaw  seq uint64 | v1 header | crc32c uint32 | payload bytes
+//	kindRaw  seq uint64 | header | crc32c uint32 | payload bytes
 //	kindAck  ack uint64                      (not sequenced, never replayed)
+//
+// where the raw header is
+//
+//	Ctx int64 | Src int32 | WSrc int32 | Dst int32 | Tag int32 |
+//	raw kind byte | payload length uint32
+//
+// and the payload is the element storage of a whitelisted typed slice,
+// verbatim (see rawcodec.go). Everything else — control frames, gob-only
+// payloads — travels as kindGob.
 //
 // The CRC covers the fixed header plus the payload — in full for payloads up
 // to 2*crcWindow, and the first and last crcWindow bytes for larger ones. A
 // bounded window keeps the integrity check off the large-message critical
 // path (a full CRC over a 1 MiB payload costs ~25% of the ping-pong; the
 // windows cost ~3%) while still catching header corruption, truncation, and
-// bit flips near either end; the benchlab resilience pin enforces the ≤5%
-// budget. Corruption detected by the reader surfaces as *CorruptFrameError,
-// which the session layer treats like a broken connection: tear down,
-// resume, retransmit the clean captured copy.
+// bit flips near either end. Corruption detected by the reader surfaces as
+// *CorruptFrameError, which the session layer treats like a broken
+// connection: tear down, resume, retransmit the clean captured copy.
 //
 // Interleaving raw bytes with a live gob stream is safe because the decoder
 // reads from a *bufio.Reader: gob consumes exactly one message's bytes via
 // the io.ByteReader interface and never reads ahead, so the next byte after
-// a gob message is always ours to interpret as the next kind. Both ends of a
-// connection agree on the version in the hello exchange; a peer that never
-// announced v1 gets a pure gob stream, with raw frames converted back to gob
-// before forwarding (the version-mismatch path).
+// a gob message is always ours to interpret as the next kind.
 //
-// Writes go through a bufio.Writer flushed once per frame: a gob frame used
-// to cost one syscall per internal gob segment (type descriptor, then
-// value); now every frame — header, payload, all of it — leaves in one
-// write. Heartbeat and control frames take the same writeFrame path, so they
-// flush promptly by construction.
-const (
-	wireVersion  = 1 // kind-byte framing
-	wireVersion2 = 2 // + sequence numbers, CRC32C, resumable sessions
-)
+// Every rank of a world runs the same binary, so there is exactly one wire:
+// the worker's hello announces wireVersion and the hub refuses any other
+// value rather than guessing how to frame the connection.
+const wireVersion = 2
 
 const (
 	kindGob byte = 0x67 // 'g'
 	kindRaw byte = 0x72 // 'r'
-	kindAck byte = 0x61 // 'a' (v2 only)
+	kindAck byte = 0x61 // 'a'
 )
 
-// rawHeaderLen is the fixed header that follows a kindRaw byte.
+// rawHeaderLen is the fixed addressing header inside a kindRaw frame.
 const rawHeaderLen = 8 + 4 + 4 + 4 + 4 + 1 + 4
 
 const (
 	seqLen = 8
 	crcLen = 4
-	// v2RawPrefixLen is everything before a v2 raw frame's payload.
-	v2RawPrefixLen = 1 + seqLen + rawHeaderLen + crcLen
-	// v2GobPrefixLen is everything before a v2 gob frame's encoded bytes.
-	v2GobPrefixLen = 1 + seqLen
+	// rawPrefixLen is everything before a raw frame's payload.
+	rawPrefixLen = 1 + seqLen + rawHeaderLen + crcLen
+	// gobPrefixLen is everything before a gob frame's encoded bytes.
+	gobPrefixLen = 1 + seqLen
 )
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on amd64 and
@@ -111,22 +98,17 @@ const maxRawFrame = 1 << 30
 // connection.
 const wireBufSize = 64 << 10
 
-// wireWriter is the sending half of one connection: a buffered writer with
-// a persistent gob encoder layered on top, flushed once per frame.
-//
-// A v2 writer's gob encoder targets gobBuf instead of the connection, so the
-// session layer can capture a frame's exact bytes for replay — the encoder
-// (and its type-descriptor state) survives connection swaps, which is what
-// makes resuming a half-spoken gob stream on a fresh TCP connection sound.
+// wireWriter is the sending half of one connection: a buffered writer plus a
+// persistent gob encoder. The encoder targets gobBuf instead of the
+// connection, so the session layer can capture a frame's exact bytes for
+// replay — the encoder (and its type-descriptor state) survives connection
+// swaps, which is what makes resuming a half-spoken gob stream on a fresh
+// TCP connection sound.
 type wireWriter struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-	v1  bool // peer understands kind-byte framing
-	v2  bool // peer speaks sessions (seq + CRC + ack)
-	hdr [1 + rawHeaderLen]byte
-
-	gobBuf bytes.Buffer // v2: per-frame gob staging
-	hdr2   [v2RawPrefixLen]byte
+	bw     *bufio.Writer
+	enc    *gob.Encoder
+	gobBuf bytes.Buffer // per-frame gob staging
+	hdr    [rawPrefixLen]byte
 
 	// corruptNext makes the next raw frame leave the writer with one payload
 	// bit flipped — on the wire only, never in the captured replay copy. The
@@ -134,140 +116,34 @@ type wireWriter struct {
 	corruptNext bool
 }
 
-func newWireWriter(w io.Writer, ver int) *wireWriter {
-	bw := bufio.NewWriterSize(w, wireBufSize)
-	ww := &wireWriter{bw: bw, v1: ver >= wireVersion, v2: ver >= wireVersion2}
-	if ww.v2 {
-		ww.enc = gob.NewEncoder(&ww.gobBuf)
-	} else {
-		ww.enc = gob.NewEncoder(bw)
-	}
+func newWireWriter(w io.Writer) *wireWriter {
+	ww := &wireWriter{bw: bufio.NewWriterSize(w, wireBufSize)}
+	ww.enc = gob.NewEncoder(&ww.gobBuf)
 	return ww
 }
 
 // resetConn points the buffered writer at a new connection after a session
-// resume. The gob encoder's state is unaffected (v2 encoders never write to
-// the connection directly).
+// resume. The gob encoder's state is unaffected (it never writes to the
+// connection directly).
 func (w *wireWriter) resetConn(c io.Writer) { w.bw.Reset(c) }
 
 func (w *wireWriter) flush() error { return w.bw.Flush() }
 
-// writeHello sends the connection's opening handshake (no kind byte: the
-// hello predates the version agreement by definition).
+// writeHello sends the connection's opening handshake: one gob value, no
+// kind byte or sequence number.
 func (w *wireWriter) writeHello(hi hello) error {
 	if err := w.enc.Encode(hi); err != nil {
 		return err
 	}
-	if w.v2 {
-		if _, err := w.bw.Write(w.gobBuf.Bytes()); err != nil {
-			return err
-		}
-		w.gobBuf.Reset()
+	if _, err := w.bw.Write(w.gobBuf.Bytes()); err != nil {
+		return err
 	}
+	w.gobBuf.Reset()
 	return w.bw.Flush()
-}
-
-// writeFrame sends one frame and flushes it to the connection — the v0/v1
-// path. v2 connections go through encodeFrame/writeEncoded (captured) or
-// writeFrameDirect (streamed) so the session layer owns replay. Typed
-// payloads (frame.Val) that are raw-encodable travel as kindRaw; everything
-// else is gob-encoded here — including typed payloads outside the raw
-// whitelist, so an in-memory value can never leak onto the wire unencoded.
-// When the peer is a legacy gob-only connection, raw frames being forwarded
-// are converted back to their gob form first.
-func (w *wireWriter) writeFrame(f frame) error {
-	if w.v1 && f.HasVal && headerRanksFit(f) {
-		if kind, ok := rawKindOf(f.Val); ok {
-			return w.writeRawVal(f, kind)
-		}
-	}
-	if w.v1 && f.Raw != rawNone {
-		// Forwarding an already-encoded raw payload (the hub's routing path).
-		return w.writeRawData(f)
-	}
-	if f.HasVal {
-		data, err := encodeValue(f.Val)
-		if err != nil {
-			return err
-		}
-		f.Data, f.Val, f.HasVal = data, nil, false
-	}
-	if f.Raw != rawNone {
-		// Legacy peer: materialize the raw payload and re-encode as gob, so
-		// the version-mismatch path sees exactly what version 0 would have.
-		v, err := rawDecode(f.Raw, f.Data)
-		if err != nil {
-			return err
-		}
-		data, err := encodeValue(v)
-		if err != nil {
-			return err
-		}
-		f.Data, f.Raw = data, rawNone
-	}
-	if w.v1 {
-		if err := w.bw.WriteByte(kindGob); err != nil {
-			return err
-		}
-	}
-	if err := w.enc.Encode(f); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-// writeRawVal frames a typed payload as kindRaw. On layout-compatible
-// platforms the payload bytes are written straight from the value's backing
-// array — sends are synchronous on the caller's goroutine and the write
-// completes before Send returns, so the wire never reads the slice after the
-// caller regains control. Elsewhere (and for []bool, whose storage is not
-// the wire format) the elements are encoded into a pooled scratch buffer,
-// returned before the call completes, so a steady-state send loop allocates
-// nothing either way.
-func (w *wireWriter) writeRawVal(f frame, kind byte) error {
-	n := rawSizeOf(f.Val)
-	w.putHeader(f, kind, n)
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return err
-	}
-	if view, ok := rawBytesView(f.Val); ok {
-		if len(view) > 0 {
-			if _, err := w.bw.Write(view); err != nil {
-				return err
-			}
-		}
-		return w.bw.Flush()
-	}
-	buf := getWireBuf(n)
-	rawEncode(buf, f.Val)
-	_, err := w.bw.Write(buf)
-	putWireBuf(buf)
-	if err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-// writeRawData forwards an already raw-encoded payload unchanged.
-func (w *wireWriter) writeRawData(f frame) error {
-	w.putHeader(f, f.Raw, len(f.Data))
-	if _, err := w.bw.Write(w.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(f.Data); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *wireWriter) putHeader(f frame, kind byte, payloadLen int) {
-	h := w.hdr[:]
-	h[0] = kindRaw
-	putRawCore(h[1:], f, kind, payloadLen)
 }
 
 // putRawCore fills the fixed rawHeaderLen-byte header (addressing, raw kind,
-// payload length) shared by the v1 and v2 layouts.
+// payload length).
 func putRawCore(h []byte, f frame, kind byte, payloadLen int) {
 	le.PutUint64(h[0:], uint64(f.Ctx))
 	le.PutUint32(h[8:], uint32(int32(f.Src)))
@@ -292,29 +168,33 @@ func rawPayloadSize(f frame) int {
 	return -1
 }
 
-// encodeFrame renders one v2 frame — kind byte, sequence, header, CRC,
-// payload — into a pooled buffer and returns it. The caller (the session
-// layer) owns the buffer: it is written with writeEncoded, kept for replay,
-// and released via putWireBuf once the peer acks past seq.
+// encodeFrame renders one frame — kind byte, sequence, header, CRC, payload —
+// into a pooled buffer and returns it. The caller (the session layer) owns
+// the buffer: it is written with writeEncoded, kept for replay, and released
+// via putWireBuf once the peer acks past seq. Typed payloads that are
+// raw-encodable travel as kindRaw, as do already-encoded raw payloads the hub
+// forwards; everything else is gob-encoded here — including typed payloads
+// outside the raw whitelist, so an in-memory value never leaks onto the wire
+// unencoded.
 func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 	if f.HasVal && headerRanksFit(f) {
 		if kind, ok := rawKindOf(f.Val); ok {
 			n := rawSizeOf(f.Val)
-			buf := getWireBuf(v2RawPrefixLen + n)
+			buf := getWireBuf(rawPrefixLen + n)
 			if view, ok := rawBytesView(f.Val); ok {
-				copy(buf[v2RawPrefixLen:], view)
+				copy(buf[rawPrefixLen:], view)
 			} else {
-				rawEncode(buf[v2RawPrefixLen:], f.Val)
+				rawEncode(buf[rawPrefixLen:], f.Val)
 			}
-			putV2RawPrefix(buf, f, kind, seq, n)
+			putRawPrefix(buf, f, kind, seq, n)
 			return buf, nil
 		}
 	}
 	if f.Raw != rawNone {
 		n := len(f.Data)
-		buf := getWireBuf(v2RawPrefixLen + n)
-		copy(buf[v2RawPrefixLen:], f.Data)
-		putV2RawPrefix(buf, f, f.Raw, seq, n)
+		buf := getWireBuf(rawPrefixLen + n)
+		copy(buf[rawPrefixLen:], f.Data)
+		putRawPrefix(buf, f, f.Raw, seq, n)
 		return buf, nil
 	}
 	if f.HasVal {
@@ -329,31 +209,31 @@ func (w *wireWriter) encodeFrame(f frame, seq uint64) ([]byte, error) {
 		return nil, err
 	}
 	gb := w.gobBuf.Bytes()
-	buf := getWireBuf(v2GobPrefixLen + len(gb))
+	buf := getWireBuf(gobPrefixLen + len(gb))
 	buf[0] = kindGob
 	le.PutUint64(buf[1:], seq)
-	copy(buf[v2GobPrefixLen:], gb)
+	copy(buf[gobPrefixLen:], gb)
 	w.gobBuf.Reset()
 	return buf, nil
 }
 
-// putV2RawPrefix fills a captured v2 raw frame's prefix in place; the
-// payload must already be at buf[v2RawPrefixLen:].
-func putV2RawPrefix(buf []byte, f frame, kind byte, seq uint64, n int) {
+// putRawPrefix fills a captured raw frame's prefix in place; the payload
+// must already be at buf[rawPrefixLen:].
+func putRawPrefix(buf []byte, f frame, kind byte, seq uint64, n int) {
 	buf[0] = kindRaw
 	le.PutUint64(buf[1:], seq)
 	h := buf[1+seqLen:]
 	putRawCore(h, f, kind, n)
-	crc := payloadCRC(h[:rawHeaderLen], buf[v2RawPrefixLen:])
+	crc := payloadCRC(h[:rawHeaderLen], buf[rawPrefixLen:])
 	le.PutUint32(h[rawHeaderLen:], crc)
 }
 
-// writeEncoded puts one captured v2 frame on the wire, without flushing. An
+// writeEncoded puts one captured frame on the wire, without flushing. An
 // armed corruption flips the last payload byte's low bit in transit — the
 // captured copy stays pristine, which is exactly what lets the retransmit
 // after the CRC failure deliver clean bytes.
 func (w *wireWriter) writeEncoded(buf []byte) error {
-	if w.corruptNext && buf[0] == kindRaw && len(buf) > v2RawPrefixLen {
+	if w.corruptNext && buf[0] == kindRaw && len(buf) > rawPrefixLen {
 		w.corruptNext = false
 		if _, err := w.bw.Write(buf[:len(buf)-1]); err != nil {
 			return err
@@ -364,10 +244,24 @@ func (w *wireWriter) writeEncoded(buf []byte) error {
 	return err
 }
 
-// writeFrameDirect streams one large raw v2 frame without capturing it: the
+// writeTail retransmits a resumed session's unacknowledged frames, oldest
+// first, and flushes them.
+func (w *wireWriter) writeTail(entries []replayEntry) error {
+	for _, e := range entries {
+		if err := w.writeEncoded(e.buf); err != nil {
+			return err
+		}
+	}
+	return w.bw.Flush()
+}
+
+// writeFrameDirect streams one large raw frame without capturing it: the
 // payload goes straight from the caller's backing array (or a pooled
-// scratch), exactly like the v1 fast path. The caller records the sequence
-// as a replay gap. Does not flush.
+// scratch), so a large send costs no copy. On layout-compatible platforms
+// the bytes are the value's own storage — sends are synchronous on the
+// caller's goroutine and the write completes before Send returns, so the
+// wire never reads the slice after the caller regains control. The caller
+// records the sequence as a replay gap. Does not flush.
 func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
 	var kind byte
 	var payload, scratch []byte
@@ -387,7 +281,7 @@ func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
 			payload = scratch
 		}
 	}
-	h := w.hdr2[:]
+	h := w.hdr[:]
 	h[0] = kindRaw
 	le.PutUint64(h[1:], seq)
 	core := h[1+seqLen:]
@@ -412,12 +306,13 @@ func (w *wireWriter) writeFrameDirect(f frame, seq uint64) error {
 
 // writeAck sends a cumulative receive acknowledgement and flushes. Acks are
 // not sequenced and never replayed: a lost ack just means the peer trims a
-// little later.
+// little later. The bytes are staged in the writer's own header buffer: a
+// stack array would escape through bufio's underlying io.Writer.
 func (w *wireWriter) writeAck(seq uint64) error {
-	var b [1 + seqLen]byte
+	b := w.hdr[:1+seqLen]
 	b[0] = kindAck
 	le.PutUint64(b[1:], seq)
-	if _, err := w.bw.Write(b[:]); err != nil {
+	if _, err := w.bw.Write(b); err != nil {
 		return err
 	}
 	return w.bw.Flush()
@@ -433,17 +328,17 @@ func headerRanksFit(f frame) bool {
 func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 // wireReader is the receiving half: a buffered reader with a persistent gob
-// decoder, demultiplexing kind bytes when the peer speaks v1 and sequence
-// numbers, CRCs, and acks when it speaks v2.
+// decoder, demultiplexing kind bytes, sequence numbers, CRCs, and acks.
 type wireReader struct {
 	br  *bufio.Reader
 	dec *gob.Decoder
-	v1  bool
-	v2  bool
+	// seq and hdr are read targets owned by the reader: a stack array handed
+	// to io.ReadFull escapes, costing a heap object per received frame.
+	seq [seqLen]byte
 	hdr [rawHeaderLen + crcLen]byte
 
-	// onAck receives the peer's cumulative acks (v2); the session layer uses
-	// it to trim the replay buffer. Called from the reading goroutine.
+	// onAck receives the peer's cumulative acks; the session layer uses it
+	// to trim the replay buffer. Called from the reading goroutine.
 	onAck func(uint64)
 }
 
@@ -465,38 +360,27 @@ func (r *wireReader) readHello() (hello, error) {
 	return hi, err
 }
 
-// readFrame reads one frame, returning its sequence number (0 on pre-v2
-// streams). Raw payloads land in a pooled buffer (frame.Data, flagged by
-// frame.Raw); the consumer returns it via frame.release or decodeInto. Acks
-// are consumed internally via onAck. A CRC mismatch returns
-// *CorruptFrameError; the stream position is past the frame, but the session
-// layer tears the connection down rather than trusting anything after it.
+// readFrame reads one frame and its sequence number. Raw payloads land in a
+// pooled buffer (frame.Data, flagged by frame.Raw); the consumer returns it
+// via frame.release or decodeInto. Acks are consumed internally via onAck. A
+// CRC mismatch returns *CorruptFrameError; the stream position is past the
+// frame, but the session layer tears the connection down rather than
+// trusting anything after it.
 func (r *wireReader) readFrame() (frame, uint64, error) {
-	if !r.v1 {
-		var f frame
-		err := r.dec.Decode(&f)
-		return f, 0, err
-	}
 	for {
 		kind, err := r.br.ReadByte()
 		if err != nil {
 			return frame{}, 0, err
 		}
-		var seq uint64
-		if r.v2 {
-			var sb [seqLen]byte
-			if _, err := io.ReadFull(r.br, sb[:]); err != nil {
-				return frame{}, 0, err
-			}
-			seq = le.Uint64(sb[:])
-			if kind == kindAck {
-				if r.onAck != nil {
-					r.onAck(seq)
-				}
-				continue
-			}
+		if _, err := io.ReadFull(r.br, r.seq[:]); err != nil {
+			return frame{}, 0, err
 		}
+		seq := le.Uint64(r.seq[:])
 		switch kind {
+		case kindAck:
+			if r.onAck != nil {
+				r.onAck(seq)
+			}
 		case kindGob:
 			var f frame
 			err := r.dec.Decode(&f)
@@ -510,17 +394,13 @@ func (r *wireReader) readFrame() (frame, uint64, error) {
 	}
 }
 
-// readRawBody reads a raw frame's header (+CRC on v2) and payload.
+// readRawBody reads a raw frame's header, CRC, and payload.
 func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 	// The raw branch keeps its frame variable to itself: sharing one
 	// across the gob branches would let Decode's &f force a heap
 	// allocation here too, breaking the zero-alloc receive loop.
 	var f frame
-	hlen := rawHeaderLen
-	if r.v2 {
-		hlen += crcLen
-	}
-	if _, err := io.ReadFull(r.br, r.hdr[:hlen]); err != nil {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return f, err
 	}
 	h := r.hdr[:]
@@ -539,13 +419,11 @@ func (r *wireReader) readRawBody(seq uint64) (frame, error) {
 		putWireBuf(payload)
 		return f, err
 	}
-	if r.v2 {
-		want := le.Uint32(h[rawHeaderLen:])
-		if got := payloadCRC(h[:rawHeaderLen], payload); got != want {
-			cerr := &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}
-			putWireBuf(payload)
-			return f, cerr
-		}
+	want := le.Uint32(h[rawHeaderLen:])
+	if got := payloadCRC(h[:rawHeaderLen], payload); got != want {
+		cerr := &CorruptFrameError{Seq: seq, Src: f.WSrc, Dst: f.Dst, Tag: f.Tag, Want: want, Got: got}
+		putWireBuf(payload)
+		return f, cerr
 	}
 	f.Data = payload
 	return f, nil

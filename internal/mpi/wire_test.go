@@ -2,16 +2,20 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
-	"sync"
+	"strings"
 	"testing"
+	"time"
 )
 
 // Wire-layer tests: the raw codec's round trips, kind-byte framing
-// interleaved with a live gob stream, the version-mismatch conversions, and
-// the allocation discipline the pooled buffers buy.
+// interleaved with a live gob stream, the type-mismatch fallback, the
+// allocation discipline the pooled buffers buy, and the hub's refusal of any
+// other wire version.
 
 func TestRawCodecRoundTrip(t *testing.T) {
 	cases := []any{
@@ -75,15 +79,28 @@ func TestRawDecodeIntoReusesBacking(t *testing.T) {
 	}
 }
 
+// sendCaptured runs one frame through the writer's captured path — encode,
+// write, flush — and releases the capture, as a session would on ack.
+func sendCaptured(w *wireWriter, f frame, seq uint64) error {
+	buf, err := w.encodeFrame(f, seq)
+	if err != nil {
+		return err
+	}
+	defer putWireBuf(buf)
+	if err := w.writeEncoded(buf); err != nil {
+		return err
+	}
+	return w.flush()
+}
+
 // TestWireInterleavedFrames: one connection carries gob frames and raw
 // frames back to back; the reader demultiplexes by kind byte without either
 // stream corrupting the other — the property that lets typed payloads share
-// a connection with control traffic.
+// a connection with control traffic — and hands back each frame's sequence.
 func TestWireInterleavedFrames(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1 = true
 
 	floats := []float64{3.14, -2.71, 1e9}
 	ints := []int{5, -6, 7}
@@ -96,25 +113,30 @@ func TestWireInterleavedFrames(t *testing.T) {
 		{Ctx: 1, Src: 2, Dst: 1, Tag: 5, Data: rawInts, Raw: rawInt},       // raw: forwarded payload
 		{Ctx: 1, Src: 0, Dst: 1, Tag: 6, Val: []string{"s"}, HasVal: true}, // gob: typed but not raw-encodable
 	}
-	for _, f := range frames {
-		if err := w.writeFrame(f); err != nil {
+	for i, f := range frames {
+		if err := sendCaptured(w, f, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	read := func(want uint64) frame {
+		t.Helper()
+		f, seq, err := rd.readFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != want {
+			t.Fatalf("seq = %d, want %d", seq, want)
+		}
+		return f
+	}
 
 	var s string
-	f0, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f0 := read(1)
 	if err := f0.decodeInto(&s); err != nil || s != "control" {
 		t.Fatalf("frame 0: %q, %v", s, err)
 	}
 
-	f1, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1 := read(2)
 	if f1.Raw != rawFloat64 || f1.Tag != 4 || f1.Src != 0 {
 		t.Fatalf("frame 1 header: %+v", f1)
 	}
@@ -123,10 +145,7 @@ func TestWireInterleavedFrames(t *testing.T) {
 		t.Fatalf("frame 1: %v, %v", gotF, err)
 	}
 
-	f2, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := read(3)
 	if f2.Raw != rawInt || f2.Src != 2 || f2.Tag != 5 {
 		t.Fatalf("frame 2 header: %+v", f2)
 	}
@@ -135,10 +154,7 @@ func TestWireInterleavedFrames(t *testing.T) {
 		t.Fatalf("frame 2: %v, %v", gotI, err)
 	}
 
-	f3, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f3 := read(4)
 	var gotS []string
 	if err := f3.decodeInto(&gotS); err != nil || !reflect.DeepEqual(gotS, []string{"s"}) {
 		t.Fatalf("frame 3: %v, %v", gotS, err)
@@ -150,12 +166,11 @@ func TestWireInterleavedFrames(t *testing.T) {
 // numeric conversion rules — rather than erroring or bit-casting.
 func TestWireMismatchFallsBackToGob(t *testing.T) {
 	var conn bytes.Buffer
-	w := newWireWriter(&conn, wireVersion)
+	w := newWireWriter(&conn)
 	rd := newWireReader(&conn)
-	rd.v1 = true
 
 	sent := []float64{1, 2.5, -3} // exactly representable in float32
-	if err := w.writeFrame(frame{Ctx: 1, Tag: 1, Val: sent, HasVal: true}); err != nil {
+	if err := sendCaptured(w, frame{Ctx: 1, Tag: 1, Val: sent, HasVal: true}, 1); err != nil {
 		t.Fatal(err)
 	}
 	f, _, err := rd.readFrame()
@@ -171,38 +186,15 @@ func TestWireMismatchFallsBackToGob(t *testing.T) {
 	}
 }
 
-// TestWireLegacyWriterConverts: a raw payload forwarded toward a v0 peer is
-// re-encoded as plain gob — the hub's version-mismatch path — and an
-// unframed reader consumes it.
-func TestWireLegacyWriterConverts(t *testing.T) {
-	var conn bytes.Buffer
-	w := newWireWriter(&conn, 0) // legacy peer: no kind bytes on this stream
-	rd := newWireReader(&conn)       // rd.v1 stays false
-
-	ints := []int{9, 8, -7}
-	raw := make([]byte, rawSizeOf(ints))
-	rawEncode(raw, ints)
-	if err := w.writeFrame(frame{Ctx: 2, Src: 1, Dst: 0, Tag: 9, Data: raw, Raw: rawInt}); err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := rd.readFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Raw != rawNone {
-		t.Fatalf("legacy stream carried a raw frame: %+v", f)
-	}
-	var got []int
-	if err := f.decodeInto(&got); err != nil || !reflect.DeepEqual(got, ints) {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
 // TestWireRawSendZeroAlloc pins the acceptance bar for the typed TCP path:
 // once the buffer freelist is warm, a steady-state send+receive of a
-// whitelisted slice allocates zero amortized heap bytes per message. The
-// loopback is a real OS pipe, so the measured path is the production one:
-// bufio flush, kind demultiplex, pooled payload buffer, in-place decode.
+// whitelisted slice allocates zero amortized heap objects per message. The
+// loop is the production session round trip — sequence, capture, write,
+// flush, record on the sender; kind and sequence demultiplex, CRC check,
+// pooled payload, duplicate check, in-place decode on the receiver — plus
+// the receiver's periodic ack and the sender's ack-driven trim of its replay
+// buffer. The loopback is a real OS pipe; the acks share it with the data
+// frames so one goroutine can drive both ends.
 func TestWireRawSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by race-detector instrumentation")
@@ -224,12 +216,15 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 	defer pr.Close()
 	defer pw.Close()
 
-	w := newWireWriter(pw, wireVersion)
+	w := newWireWriter(pw)
+	acker := newWireWriter(pw)
 	rd := newWireReader(pr)
-	rd.v1 = true
+	var sendq sendSession
+	var recvq recvSession
+	rd.onAck = sendq.trim
 
-	const elems = 4096 // 32 KiB payload: fits the pipe buffer, so one
-	// goroutine can drive both ends without deadlock.
+	const elems = 4096 // 32 KiB payload: under replayFrameMax, so every
+	// frame is captured for replay, and frame plus ack fit the pipe buffer.
 	payload := make([]float64, elems)
 	for i := range payload {
 		payload[i] = float64(i)
@@ -241,14 +236,25 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 
 	var loopErr error
 	roundTrip := func() {
-		if err := w.writeFrame(f); err != nil {
-			loopErr = err
+		if broken, err := sendq.transmit(w, f, false); broken || err != nil {
+			loopErr = fmt.Errorf("transmit: broken %v, %v", broken, err)
 			return
 		}
-		g, _, err := rd.readFrame()
+		g, seq, err := rd.readFrame()
 		if err != nil {
 			loopErr = err
 			return
+		}
+		dup, ackNow := recvq.note(seq)
+		if dup {
+			loopErr = fmt.Errorf("fresh seq %d flagged duplicate", seq)
+			return
+		}
+		if ackNow {
+			if err := acker.writeAck(recvq.seqIn); err != nil {
+				loopErr = err
+				return
+			}
 		}
 		if !rawDecodeInto(g.Raw, g.Data, &dst) {
 			loopErr = fmt.Errorf("frame arrived non-raw: %+v", g)
@@ -256,8 +262,10 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 		}
 		putWireBuf(g.Data)
 	}
-	for i := 0; i < 4 && loopErr == nil; i++ {
-		roundTrip() // warm the freelist
+	// Warm up through several ack cycles: the freelist and the replay slice
+	// reach their working size.
+	for i := 0; i < 4*ackEvery && loopErr == nil; i++ {
+		roundTrip()
 	}
 	if loopErr != nil {
 		t.Fatal(loopErr)
@@ -266,91 +274,62 @@ func TestWireRawSendZeroAlloc(t *testing.T) {
 		t.Fatalf("decode corrupted payload: %v", dst[elems-1])
 	}
 
-	if allocs := testing.AllocsPerRun(50, roundTrip); allocs != 0 {
-		t.Fatalf("steady-state raw round trip allocates %v objects per message, want 0", allocs)
+	if allocs := testing.AllocsPerRun(3*ackEvery, roundTrip); allocs != 0 {
+		t.Fatalf("steady-state session round trip allocates %v objects per message, want 0", allocs)
 	}
 	if loopErr != nil {
 		t.Fatal(loopErr)
 	}
+	if len(sendq.replay) > ackEvery+1 {
+		t.Fatalf("replay buffer holds %d frames: acks are not trimming it", len(sendq.replay))
+	}
 }
 
-// TestMixedVersionWorld: one v1 rank and one legacy (v0) rank share a hub.
-// Typed slices must flow both ways — the hub converting raw frames to gob
-// for the legacy destination — and a collective must complete across the
-// version boundary.
+// TestMixedVersionWorld: a world in which one worker announces an older wire
+// must fail formation — promptly, with an error naming the rank and the
+// version — rather than hang or have the hub guess a framing. The
+// well-behaved rank learns of the failure instead of its start signal.
 func TestMixedVersionWorld(t *testing.T) {
-	hub, err := StartHub("127.0.0.1:0", 2)
+	hub, err := StartHub("127.0.0.1:0", 2, HubFormationTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hub.Close()
 
-	main := func(c *Comm) error {
-		mine := []float64{float64(c.Rank()), 1, 2}
-		if err := c.Send(1-c.Rank(), 3, mine); err != nil {
-			return err
-		}
-		var theirs []float64
-		if _, err := c.Recv(1-c.Rank(), 3, &theirs); err != nil {
-			return err
-		}
-		if want := []float64{float64(1 - c.Rank()), 1, 2}; !reflect.DeepEqual(theirs, want) {
-			return fmt.Errorf("rank %d received %v, want %v", c.Rank(), theirs, want)
-		}
-		got, err := AllreduceSlice(c, []float64{1, 2, 3}, func(a, b float64) float64 { return a + b })
-		if err != nil {
-			return err
-		}
-		if want := []float64{2, 4, 6}; !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("rank %d reduced %v, want %v", c.Rank(), got, want)
-		}
-		return nil
+	joined := make(chan error, 1)
+	go func() {
+		joined <- JoinTCP(hub.Addr(), 0, 2, func(c *Comm) error { return nil })
+	}()
+	conn, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := gob.NewEncoder(conn).Encode(hello{Rank: 1, Wire: 1}); err != nil {
+		t.Fatal(err)
 	}
 
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		errs[0] = JoinTCP(hub.Addr(), 0, 2, main) // speaks v1
-	}()
-	go func() {
-		defer wg.Done()
-		errs[1] = JoinTCP(hub.Addr(), 1, 2, main, withWireLegacy()) // speaks v0
-	}()
-	wg.Wait()
-	if err := hub.Wait(); err != nil {
-		t.Fatalf("hub: %v", err)
-	}
-	for rank, err := range errs {
-		if err != nil {
-			t.Errorf("rank %d: %v", rank, err)
+	waited := make(chan error, 1)
+	go func() { waited <- hub.Wait() }()
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Fatal("hub accepted a wire-version-1 hello")
 		}
-	}
-}
-
-// TestWithTCPNoDelay: the knob must be accepted in both positions and leave
-// message semantics untouched; a disabled-Nagle world still delivers typed
-// payloads intact.
-func TestWithTCPNoDelay(t *testing.T) {
-	for _, enabled := range []bool{true, false} {
-		t.Run(fmt.Sprintf("%v", enabled), func(t *testing.T) {
-			err := RunTCP(2, func(c *Comm) error {
-				if c.Rank() == 0 {
-					return c.Send(1, 1, []int32{1, 2, 3})
-				}
-				var got []int32
-				if _, err := c.Recv(0, 1, &got); err != nil {
-					return err
-				}
-				if !reflect.DeepEqual(got, []int32{1, 2, 3}) {
-					return fmt.Errorf("got %v", got)
-				}
-				return nil
-			}, WithTCPNoDelay(enabled))
-			if err != nil {
-				t.Fatal(err)
+		for _, want := range []string{"rank 1", "wire version 1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("hub error %q does not name %q", err, want)
 			}
-		})
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("hub still waiting after a wire-version-1 hello")
+	}
+	select {
+	case err := <-joined:
+		if err == nil {
+			t.Fatal("rank 0 started in a world that failed formation")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 0 never learned the world failed formation")
 	}
 }

@@ -19,7 +19,7 @@ type World struct {
 	gate      func(fn func())
 	epoch     time.Time     // when the world initialized; Wtime's zero point
 	typed     bool          // transport delivers typed payloads (the fast path)
-	wire      bool          // transport raw-encodes typed payloads in Send (tcp v1)
+	wire      bool          // transport raw-encodes typed payloads in Send (tcp, shm)
 	deadline  time.Duration // per-operation receive budget; 0 = unbounded
 
 	// Revoke state (see abort.go). abortedFlag is the hot-path gate: one
@@ -79,11 +79,8 @@ type config struct {
 	faultReport  *FaultReport
 	recovery     bool
 	respawn      bool                      // relaunch failed ranks into their old slots
-	wireCompat   *int                      // force a specific TCP wire version (benchmarks/ablation)
 	dialRetry    time.Duration             // JoinTCP dial budget; 0 = default, <0 = single attempt
 	hubOpts      []HubOption               // consumed by RunTCP's internal hub
-	noDelay      *bool                     // WithTCPNoDelay; nil leaves the platform default
-	wireLegacy   bool                      // force the v0 pure-gob TCP wire (tests/ablation)
 	wrap         func(Transport) Transport // test hook: outermost decoration
 
 	faultT *faultTransport // set by wrapTransport; handed to the World
@@ -205,19 +202,6 @@ func WithRespawn() Option {
 	return func(c *config) {
 		c.recovery = true
 		c.respawn = true
-	}
-}
-
-// WithWireCompat forces the TCP wire protocol to at most the given version:
-// 0 = the original pure-gob stream, 1 = kind-byte typed framing, 2 (the
-// default) = resilient sessions with sequence numbers and CRC32C frame
-// integrity. Real programs have no reason to downgrade; the interop tests
-// and the resilience-overhead benchmark use it to measure what each layer
-// costs against the same build.
-func WithWireCompat(version int) Option {
-	return func(c *config) {
-		v := version
-		c.wireCompat = &v
 	}
 }
 

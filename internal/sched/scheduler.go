@@ -563,7 +563,10 @@ func (s *Scheduler) placeOneLocked(now time.Time) bool {
 			}
 			s.removeQueuedLocked(j)
 			s.startLocked(j, width, placement)
-			s.rrNext = (s.rrNext + i + 1) % nt
+			// Resume after the served tenant. Not reduced mod nt: a tenant
+			// registered before the next pass lands at index nt, and
+			// wrapping now would hand the next slot back to this tenant.
+			s.rrNext = (s.rrNext+i)%nt + 1
 			return true
 		}
 	}
