@@ -1,5 +1,5 @@
 # Standard entry points. `make check` is the pre-merge gate (build + vet +
-# race-enabled tests); `make bench-mpi` regenerates BENCH_mpi.json, the
+# gofmt + race-enabled tests); `make bench-mpi` regenerates BENCH_mpi.json, the
 # tracked before/after numbers for the message-transport fast path, and
 # `make bench-shm` regenerates BENCH_shm.json, the same for the shm runtime
 # (pooled region dispatch, chunk handout, reductions, exemplar speedup).

@@ -25,6 +25,10 @@ import (
 //     node pair. The acceptance pin: two-level >= 1.5x flat at 1 MiB.
 //   - Scalar collective latency (Bcast, Allreduce, Barrier), flat vs
 //     two-level: the hierarchy shortens the inter-node critical path.
+//   - AlltoallvInto with 1 KiB and 64 KiB per rank pair, flat vs
+//     two-level: the leaders aggregate each node's cross-node blocks into
+//     one exchange per node pair instead of 16 contending rank-pair sends.
+//     Recorded, not pinned.
 //   - The forestfire domain decomposition, blocking vs the
 //     communication/computation-overlap variant built on the nonblocking
 //     collectives. The pin: overlap >= 1.2x on the same platform shape.
@@ -60,6 +64,9 @@ type hierBenchReport struct {
 	Allreduce []hierPoint `json:"allreduce"`
 	// Scalar: per-call latency of the scalar collectives.
 	Scalar []hierScalarPoint `json:"scalar"`
+	// Alltoallv: AlltoallvInto over []float64, flat vs two-level; Elems
+	// and Bytes are per rank pair.
+	Alltoallv []hierPoint `json:"alltoallv"`
 	// Forestfire domain decomposition on the same platform: the blocking
 	// halo exchange vs the nonblocking-collective overlap restructure.
 	FireBlockingNs float64 `json:"forestfire_blocking_ns"`
@@ -105,23 +112,14 @@ func runHierBench(path string, quick bool) error {
 	fmt.Printf("\n  AllreduceSlice []float64: flat vs two-level\n")
 	fmt.Printf("  %10s %10s %14s %14s %9s\n", "elems", "bytes", "flat ns", "two-level ns", "speedup")
 	for _, elems := range sizes {
-		pt := hierPoint{Elems: elems, Bytes: 8 * elems, FlatNs: -1, HierNs: -1}
+		pt := hierPoint{Elems: elems, Bytes: 8 * elems}
 		iters := hierIters(pt.Bytes)
-		for round := 0; round < rounds; round++ {
-			flat, err := timeHierAllreduce(plat, np, iters, elems, mpi.HierOff)
-			if err != nil {
-				return err
-			}
-			hier, err := timeHierAllreduce(plat, np, iters, elems, mpi.HierAuto)
-			if err != nil {
-				return err
-			}
-			if pt.FlatNs < 0 || flat < pt.FlatNs {
-				pt.FlatNs = flat
-			}
-			if pt.HierNs < 0 || hier < pt.HierNs {
-				pt.HierNs = hier
-			}
+		var err error
+		pt.FlatNs, pt.HierNs, err = flatVsHier(rounds, func(mode mpi.HierMode) (float64, error) {
+			return timeHierAllreduce(plat, np, iters, elems, mode)
+		})
+		if err != nil {
+			return err
 		}
 		pt.Speedup = pt.FlatNs / pt.HierNs
 		h.Allreduce = append(h.Allreduce, pt)
@@ -134,26 +132,34 @@ func runHierBench(path string, quick bool) error {
 	fmt.Printf("\n  scalar collectives: flat vs two-level (ns/call)\n")
 	fmt.Printf("  %10s %14s %14s %9s\n", "op", "flat ns", "two-level ns", "speedup")
 	for _, op := range []string{"bcast", "allreduce", "barrier"} {
-		pt := hierScalarPoint{Op: op, FlatNs: -1, HierNs: -1}
-		for round := 0; round < rounds; round++ {
-			flat, err := timeHierScalar(plat, np, 20, op, mpi.HierOff)
-			if err != nil {
-				return err
-			}
-			hier, err := timeHierScalar(plat, np, 20, op, mpi.HierAuto)
-			if err != nil {
-				return err
-			}
-			if pt.FlatNs < 0 || flat < pt.FlatNs {
-				pt.FlatNs = flat
-			}
-			if pt.HierNs < 0 || hier < pt.HierNs {
-				pt.HierNs = hier
-			}
+		pt := hierScalarPoint{Op: op}
+		var err error
+		pt.FlatNs, pt.HierNs, err = flatVsHier(rounds, func(mode mpi.HierMode) (float64, error) {
+			return timeHierScalar(plat, np, 20, op, mode)
+		})
+		if err != nil {
+			return err
 		}
 		pt.Speedup = pt.FlatNs / pt.HierNs
 		h.Scalar = append(h.Scalar, pt)
 		fmt.Printf("  %10s %14.0f %14.0f %8.2fx\n", pt.Op, pt.FlatNs, pt.HierNs, pt.Speedup)
+	}
+
+	fmt.Printf("\n  AlltoallvInto []float64: flat vs two-level\n")
+	fmt.Printf("  %10s %10s %14s %14s %9s\n", "elems/pair", "bytes/pair", "flat ns", "two-level ns", "speedup")
+	for _, elems := range []int{128, 8192} { // 1 KiB, 64 KiB per pair
+		pt := hierPoint{Elems: elems, Bytes: 8 * elems}
+		iters := hierIters(np * pt.Bytes)
+		var err error
+		pt.FlatNs, pt.HierNs, err = flatVsHier(rounds, func(mode mpi.HierMode) (float64, error) {
+			return timeHierAlltoallv(plat, np, iters, elems, mode)
+		})
+		if err != nil {
+			return err
+		}
+		pt.Speedup = pt.FlatNs / pt.HierNs
+		h.Alltoallv = append(h.Alltoallv, pt)
+		fmt.Printf("  %10d %10d %14.0f %14.0f %8.2fx\n", pt.Elems, pt.Bytes, pt.FlatNs, pt.HierNs, pt.Speedup)
 	}
 
 	// Forestfire: the blocking domain decomposition against the overlap
@@ -210,6 +216,29 @@ func runHierBench(path string, quick bool) error {
 	return nil
 }
 
+// flatVsHier times one measurement flat (HierOff) and two-level (HierAuto),
+// alternating, rounds times each, and keeps each side's fastest.
+func flatVsHier(rounds int, measure func(mpi.HierMode) (float64, error)) (flat, hier float64, err error) {
+	flat, hier = -1, -1
+	for round := 0; round < rounds; round++ {
+		f, err := measure(mpi.HierOff)
+		if err != nil {
+			return 0, 0, err
+		}
+		h, err := measure(mpi.HierAuto)
+		if err != nil {
+			return 0, 0, err
+		}
+		if flat < 0 || f < flat {
+			flat = f
+		}
+		if hier < 0 || h < hier {
+			hier = h
+		}
+	}
+	return flat, hier, nil
+}
+
 // timeHierAllreduce reports nanoseconds per AllreduceSlice of an elems-long
 // []float64 on the modeled platform, with the given hierarchy policy.
 func timeHierAllreduce(plat cluster.Platform, np, iters, elems int, mode mpi.HierMode) (float64, error) {
@@ -230,6 +259,43 @@ func timeHierAllreduce(plat cluster.Platform, np, iters, elems int, mode mpi.Hie
 			start := time.Now()
 			for i := 0; i < iters; i++ {
 				if _, err := mpi.AllreduceSlice(c, v, sum); err != nil {
+					return err
+				}
+			}
+			if d := time.Since(start); c.Rank() == 0 && (elapsed == 0 || d < elapsed) {
+				elapsed = d
+			}
+		}
+		return nil
+	}, mpi.WithHierarchy(mode))
+	if err != nil {
+		return 0, err
+	}
+	return float64(elapsed.Nanoseconds()) / float64(iters), nil
+}
+
+// timeHierAlltoallv reports nanoseconds per AlltoallvInto exchanging elems
+// float64 with every rank (itself included) on the modeled platform.
+func timeHierAlltoallv(plat cluster.Platform, np, iters, elems int, mode mpi.HierMode) (float64, error) {
+	runtime.GC()
+	var elapsed time.Duration
+	err := plat.Launch(np, func(c *mpi.Comm) error {
+		counts := make([]int, c.Size())
+		for i := range counts {
+			counts[i] = elems
+		}
+		send := make([]float64, c.Size()*elems)
+		for i := range send {
+			send[i] = float64(c.Rank()*len(send) + i)
+		}
+		recv := make([]float64, len(send))
+		if err := mpi.AlltoallvInto(c, send, counts, recv, counts); err != nil {
+			return err
+		}
+		for batch := 0; batch < 2; batch++ {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				if err := mpi.AlltoallvInto(c, send, counts, recv, counts); err != nil {
 					return err
 				}
 			}

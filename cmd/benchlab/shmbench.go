@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/exemplars/drugdesign"
@@ -16,11 +17,13 @@ import (
 
 // The -shmbench mode times the shared-memory runtime the way a regression
 // harness wants it: fixed-shape microbenchmarks plus exemplar speedup
-// curves, one JSON file, before/after comparable across commits. The three
-// comparisons mirror the runtime's three changes: pooled region dispatch vs
-// spawn-per-region (region_launch_ns), work-stealing vs shared-counter
-// chunk handout (chunk_handout_ns), and the typed padded-slot reduction vs
-// one atomic CAS-retry add per iteration (reduce_ns_per_iter).
+// curves, one JSON file, before/after comparable across commits. The two
+// comparisons mirror the runtime's two mechanisms that have a simpler
+// alternative: pooled region dispatch vs spawn-per-region
+// (region_launch_ns), and the typed padded-slot reduction vs one atomic
+// CAS-retry add per iteration (reduce_ns_per_iter). chunk_handout_ns times
+// the one Dynamic/Guided engine, the shared atomic counter, on its own. The host facts the numbers depend on (nproc,
+// GOMAXPROCS, Go version, CPU model) are recorded beside them.
 
 // shmRegionPoint is one row of the fixed-width region-launch sweep.
 type shmRegionPoint struct {
@@ -30,16 +33,14 @@ type shmRegionPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// shmChunkPoint is one (team width, engine pair) row of the chunk-handout
-// study: nanoseconds for a 4096-iteration empty Dynamic(1) loop.
+// shmChunkPoint is one team-width row of the chunk-handout probe:
+// nanoseconds for a 4096-iteration empty Dynamic(1) loop, whole and per
+// iteration.
 type shmChunkPoint struct {
-	Threads     int     `json:"threads"`
-	StealingNs  float64 `json:"stealing_ns"`
-	CounterNs   float64 `json:"counter_ns"`
-	StealPerIt  float64 `json:"stealing_ns_per_iter"`
-	CountPerIt  float64 `json:"counter_ns_per_iter"`
-	LoopIters   int     `json:"loop_iters"`
-	CounterWins bool    `json:"counter_wins"`
+	Threads   int     `json:"threads"`
+	Ns        float64 `json:"ns"`
+	NsPerIter float64 `json:"ns_per_iter"`
+	LoopIters int     `json:"loop_iters"`
 }
 
 // shmExemplarCurve is one exemplar's measured speedup/efficiency curve.
@@ -76,8 +77,26 @@ type shmBenchReport struct {
 		Speedup float64 `json:"speedup"`
 	} `json:"reduce_ns_per_iter"`
 	ExemplarSpeedup []shmExemplarCurve `json:"exemplar_speedup"`
+	NProc           int                `json:"nproc"`
 	GOMAXPROCS      int                `json:"gomaxprocs"`
+	GoVersion       string             `json:"go_version"`
+	CPUModel        string             `json:"cpu_model"`
 	Timestamp       string             `json:"timestamp"`
+}
+
+// cpuModel reports the first "model name" line of /proc/cpuinfo, or
+// "unknown" where there is none.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // timeRegions reports nanoseconds per call of launch, after a warmup.
@@ -113,7 +132,10 @@ func runSHMBench(path string, iters int) error {
 		return fmt.Errorf("shmbench-iters must be >= 1, got %d", iters)
 	}
 	var r shmBenchReport
+	r.NProc = runtime.NumCPU()
 	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	r.GoVersion = runtime.Version()
+	r.CPUModel = cpuModel()
 	r.Timestamp = time.Now().UTC().Format(time.RFC3339)
 
 	empty := func(*shm.ThreadContext) {}
@@ -136,28 +158,20 @@ func runSHMBench(path string, iters int) error {
 		r.RegionLaunchNs.Sweep = append(r.RegionLaunchNs.Sweep, p)
 	}
 
-	// Chunk handout: empty Dynamic(1) loop, both engines, 2/8/16 threads.
+	// Chunk handout: empty Dynamic(1) loop at 2/8/16 threads.
 	const loopN = 4096
 	chunkIters := iters / 50
 	if chunkIters < 50 {
 		chunkIters = 50
 	}
-	timeEngine := func(threads int, e shm.LoopEngine) float64 {
-		shm.SetLoopEngine(e)
-		defer shm.SetLoopEngine(shm.LoopWorkStealing)
-		return timeRegions(chunkIters, func() {
+	for _, threads := range []int{2, 8, 16} {
+		p := shmChunkPoint{Threads: threads, LoopIters: loopN}
+		p.Ns = timeRegions(chunkIters, func() {
 			shm.Parallel(threads, func(tc *shm.ThreadContext) {
 				tc.For(loopN, shm.Dynamic(1), func(int) {})
 			})
 		})
-	}
-	for _, threads := range []int{2, 8, 16} {
-		p := shmChunkPoint{Threads: threads, LoopIters: loopN}
-		p.StealingNs = timeEngine(threads, shm.LoopWorkStealing)
-		p.CounterNs = timeEngine(threads, shm.LoopSharedCounter)
-		p.StealPerIt = p.StealingNs / loopN
-		p.CountPerIt = p.CounterNs / loopN
-		p.CounterWins = p.CounterNs < p.StealingNs
+		p.NsPerIter = p.Ns / loopN
 		r.ChunkHandoutNs = append(r.ChunkHandoutNs, p)
 	}
 
@@ -243,7 +257,8 @@ func runSHMBench(path string, iters int) error {
 		return err
 	}
 
-	fmt.Printf("Shared-memory runtime microbenchmarks (GOMAXPROCS=%d, %d iterations)\n\n", r.GOMAXPROCS, iters)
+	fmt.Printf("Shared-memory runtime microbenchmarks (nproc=%d, GOMAXPROCS=%d, %s, %s; %d iterations)\n\n",
+		r.NProc, r.GOMAXPROCS, r.GoVersion, r.CPUModel, iters)
 	fmt.Printf("  region launch (width %d):  pooled %8.1f ns   spawn %8.1f ns   (%.1fx)\n",
 		r.RegionLaunchNs.DefaultWidth, r.RegionLaunchNs.Pooled, r.RegionLaunchNs.Spawn, r.RegionLaunchNs.Speedup)
 	for _, p := range r.RegionLaunchNs.Sweep {
@@ -252,8 +267,8 @@ func runSHMBench(path string, iters int) error {
 	}
 	fmt.Printf("  chunk handout (%d-iter Dynamic(1) loop):\n", loopN)
 	for _, p := range r.ChunkHandoutNs {
-		fmt.Printf("    %2d threads:  stealing %9.0f ns   counter %9.0f ns\n",
-			p.Threads, p.StealingNs, p.CounterNs)
+		fmt.Printf("    %2d threads:  %9.0f ns   (%.2f ns/iter)\n",
+			p.Threads, p.Ns, p.NsPerIter)
 	}
 	fmt.Printf("  reduce ns/iter:            typed %7.2f   atomic %7.2f   (%.1fx)\n",
 		r.ReduceNsPerIter.Typed, r.ReduceNsPerIter.Atomic, r.ReduceNsPerIter.Speedup)

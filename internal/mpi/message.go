@@ -84,6 +84,12 @@ var ErrFormationTimeout = errors.New("mpi: world formation timed out")
 // through the abort machinery like any other rank failure.
 var ErrRankKilled = errors.New("mpi: fault injection killed rank")
 
+// ErrRankLimit is wrapped by every check of the 64-rank ceiling: a
+// WithRecovery world (the agreement protocol exchanges the failed set as a
+// 64-bit rank bitmask) and a shared-memory segment both refuse more ranks
+// with an error that matches this sentinel under errors.Is.
+var ErrRankLimit = errors.New("mpi: rank limit exceeded")
+
 // Status describes a received message, mirroring MPI_Status: which rank sent
 // it, under which tag, and how large the payload was. Bytes reports wire
 // bytes for serialized transports (TCP, or local with WithSerialization) and

@@ -63,8 +63,8 @@ func (e *RankFailedError) Unwrap() error        { return e.cause }
 // *RankFailedError, and the Revoke/Agree/Shrink API lets them re-form and
 // continue. Run and RunTCP report success if at least one rank completes
 // and the world was never revoked outright. Limited to 64 ranks (the
-// agreement bitmask); explicit aborts and deadline breaches still revoke
-// the world as before.
+// agreement bitmask; a larger world fails with ErrRankLimit); explicit
+// aborts and deadline breaches still revoke the world as before.
 func WithRecovery() Option {
 	return func(c *config) { c.recovery = true }
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,11 +309,74 @@ func TestWithRecoveryInertOnCleanRuns(t *testing.T) {
 	}
 }
 
-// TestWithRecoveryRankCap: the agreement bitmask bounds recovery worlds.
+// TestWithRecoveryRankCap checks the 64-rank failed-set bitmask that
+// bounds recovery worlds at both sides of its boundary on the local and TCP
+// transports: np=65 with WithRecovery fails with ErrRankLimit, and np=64
+// survives a seeded kill of rank 63, the mask's top bit, with every
+// survivor agreeing on the failed set before shrinking to 63 ranks.
 func TestWithRecoveryRankCap(t *testing.T) {
-	err := Run(65, func(c *Comm) error { return nil }, WithRecovery())
-	if err == nil || !strings.Contains(err.Error(), "at most 64") {
-		t.Fatalf("want rank-cap error, got %v", err)
+	const np = maxRecoveryRanks
+	sum := func(a, b int) int { return a + b }
+	for _, l := range []launcher{{"local", Run}, {"tcp", RunTCP}} {
+		t.Run(l.name+"/np65", func(t *testing.T) {
+			err := runWithWatchdog(t, 60*time.Second, func() error {
+				return l.run(np+1, func(*Comm) error { return nil }, WithRecovery())
+			})
+			if !errors.Is(err, ErrRankLimit) {
+				t.Fatalf("np=%d: want ErrRankLimit, got %v", np+1, err)
+			}
+		})
+		t.Run(l.name+"/np64", func(t *testing.T) {
+			plan := FaultPlan{Seed: 1, Rules: []FaultRule{{
+				Src: np - 1, Dst: AnySource, Tag: AnyTag, Action: FaultKillRank,
+			}}}
+			var mu sync.Mutex
+			agreed := map[int][]int{}
+			err := runWithWatchdog(t, 120*time.Second, func() error {
+				return l.run(np, func(c *Comm) error {
+					_, err := Allreduce(c, 1, sum)
+					if err == nil {
+						return fmt.Errorf("rank %d: allreduce completed without rank %d", c.Rank(), np-1)
+					}
+					if !errors.Is(err, ErrRankFailed) {
+						return err // the killed rank (or a real bug)
+					}
+					if err := c.Revoke(); err != nil {
+						return err
+					}
+					failed, err := c.Agree()
+					if err != nil {
+						return err
+					}
+					mu.Lock()
+					agreed[c.Rank()] = failed
+					mu.Unlock()
+					nc, err := c.Shrink()
+					if err != nil {
+						return err
+					}
+					got, err := Allreduce(nc, 1, sum)
+					if err != nil {
+						return err
+					}
+					if got != np-1 {
+						return fmt.Errorf("allreduce on shrunken world got %d want %d", got, np-1)
+					}
+					return nil
+				}, WithRecovery(), WithFaults(plan))
+			})
+			if err != nil {
+				t.Fatalf("np=%d recovery run should report success, got %v", np, err)
+			}
+			if len(agreed) != np-1 {
+				t.Fatalf("%d survivors agreed, want %d", len(agreed), np-1)
+			}
+			for r, f := range agreed {
+				if len(f) != 1 || f[0] != np-1 {
+					t.Errorf("rank %d agreed on failed set %v, want [%d]", r, f, np-1)
+				}
+			}
+		})
 	}
 }
 

@@ -178,7 +178,10 @@ func CreateShmSegment(path string, np int) (string, error) {
 	if !shmSupported {
 		return "", ErrShmUnsupported
 	}
-	if np < 1 || np > maxShmRanks {
+	if np > maxShmRanks {
+		return "", fmt.Errorf("%w: shm segment supports at most %d ranks, got %d", ErrRankLimit, maxShmRanks, np)
+	}
+	if np < 1 {
 		return "", fmt.Errorf("mpi: shm segment supports 1..%d ranks, got %d", maxShmRanks, np)
 	}
 	ringCap, largeCap, winCap := uint64(defaultShmRingCap), uint64(defaultShmLargeCap), uint64(defaultShmWinCap)

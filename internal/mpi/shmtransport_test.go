@@ -394,8 +394,8 @@ func TestShmSegmentValidation(t *testing.T) {
 	if _, err := CreateShmSegment("", 0); err == nil {
 		t.Fatal("CreateShmSegment(np=0) succeeded")
 	}
-	if _, err := CreateShmSegment("", maxShmRanks+1); err == nil {
-		t.Fatalf("CreateShmSegment(np=%d) succeeded", maxShmRanks+1)
+	if _, err := CreateShmSegment("", maxShmRanks+1); !errors.Is(err, ErrRankLimit) {
+		t.Fatalf("CreateShmSegment(np=%d): want ErrRankLimit, got %v", maxShmRanks+1, err)
 	}
 
 	junk := filepath.Join(t.TempDir(), "junk.seg")

@@ -1755,7 +1755,7 @@ func joinHub(addr, segPath string, rank, np int, respawn bool, main func(c *Comm
 	}
 	if cfg.recovery {
 		if np > maxRecoveryRanks {
-			return fmt.Errorf("mpi: WithRecovery supports at most %d ranks, got %d", maxRecoveryRanks, np)
+			return fmt.Errorf("%w: WithRecovery supports at most %d ranks, got %d", ErrRankLimit, maxRecoveryRanks, np)
 		}
 		w.recov = newRecoveryState(w)
 		// Control frames bypass the decorated transport: a fault plan that

@@ -115,6 +115,11 @@ func TestKillRankMidWinEpoch(t *testing.T) {
 // blocked-operation snapshot names the Recv under the window's ack tag.
 // The frame path is forced (serialization on the local world; TCP frames
 // naturally), since direct-path ops have no acks to lose.
+//
+// Rank 1 enters its Fence only after rank 0 has waited on the lost ack for
+// half the deadline. A TCP rank's snapshot covers only its own mailbox, and
+// rank 1's Fence blocks in a barrier on rank 0: entering it first would let
+// rank 1's deadline fire first and report that barrier instead.
 func TestWinDeadlineStalledFence(t *testing.T) {
 	const tagAck0 = tagWinBase - 2 // window 0's ack tag
 	plan := FaultPlan{
@@ -130,7 +135,9 @@ func TestWinDeadlineStalledFence(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			opts := append([]Option{WithFaults(plan), WithDeadline(150 * time.Millisecond)}, tc.opts...)
+			const deadline = 150 * time.Millisecond
+			opts := append([]Option{WithFaults(plan), WithDeadline(deadline)}, tc.opts...)
+			origin := make(chan *World, 1)
 			err := runWithWatchdog(t, 20*time.Second, func() error {
 				return tc.run(2, func(c *Comm) error {
 					w, err := WinCreate[float64](c, 8)
@@ -140,6 +147,11 @@ func TestWinDeadlineStalledFence(t *testing.T) {
 					other := 1 - c.Rank()
 					if err := w.Put(other, 0, make([]float64, 8)); err != nil {
 						return err
+					}
+					if c.Rank() == 0 {
+						origin <- c.world
+					} else {
+						waitBlockedOn(<-origin, 0, tagAck0, deadline/2)
 					}
 					return w.Fence()
 				}, opts...)
@@ -161,5 +173,18 @@ func TestWinDeadlineStalledFence(t *testing.T) {
 				t.Fatalf("blocked snapshot %v names no Recv under the window ack tag", derr.Blocked)
 			}
 		})
+	}
+}
+
+// waitBlockedOn polls w until rank's receive under tag has been blocked for
+// at least d.
+func waitBlockedOn(w *World, rank, tag int, d time.Duration) {
+	for {
+		for _, op := range w.blockedOps() {
+			if op.Rank == rank && op.Op == "Recv" && op.Tag == tag && op.Waited >= d {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -265,7 +265,7 @@ func Run(np int, main func(c *Comm) error, opts ...Option) error {
 	}
 	if cfg.recovery {
 		if np > maxRecoveryRanks {
-			return fmt.Errorf("mpi: WithRecovery supports at most %d ranks, got %d", maxRecoveryRanks, np)
+			return fmt.Errorf("%w: WithRecovery supports at most %d ranks, got %d", ErrRankLimit, maxRecoveryRanks, np)
 		}
 		w.recov = newRecoveryState(w)
 		w.recov.engine = newAgreeEngine(w.recov)

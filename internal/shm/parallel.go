@@ -34,7 +34,8 @@ type team struct {
 	singles   map[string]bool
 	ordered   *orderedState
 
-	// Work-sharing loop state (see team.loopEnter in steal.go).
+	// Work-sharing loop state: the shared chunk counter of the current
+	// Dynamic or Guided construct (see team.loopEnter in parfor.go).
 	loop *loopState
 }
 

@@ -1,6 +1,38 @@
 package shm
 
-import "runtime"
+import (
+	"runtime"
+	"sync/atomic"
+)
+
+// loopState is the shared state of one work-sharing construct: the atomic
+// iteration counter the Dynamic and Guided schedules hand chunks out of,
+// first-come first-served. A fresh one is installed per construct by the
+// generation race in team.loopEnter; the implicit barrier at the end of For
+// guarantees no two constructs are active at once within a team.
+type loopState struct {
+	counter  atomic.Int64
+	arrivals int  // guarded by team.mu
+	done     bool // guarded by team.mu
+}
+
+// loopEnter returns the loop state for the current work-sharing construct,
+// installing a fresh one if this thread is the first arrival of a new
+// construct.
+func (t *team) loopEnter() *loopState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.loop == nil || t.loop.done {
+		t.loop = &loopState{}
+	}
+	t.loop.arrivals++
+	if t.loop.arrivals == t.size {
+		// Last thread to pick up the state marks this construct finished
+		// so the next work-sharing construct installs a fresh one.
+		t.loop.done = true
+	}
+	return t.loop
+}
 
 // ParallelFor runs body(i) for every i in [0, n) using a team of numThreads
 // threads and the given schedule: the OpenMP "parallel for" construct.
@@ -61,12 +93,7 @@ func (tc *ThreadContext) forNowait(n int, sched Schedule, body func(i int)) {
 		}
 	case ScheduleDynamic:
 		chunk := sched.normalizedChunk()
-		ls := tc.team.loopEnter(n)
-		if ls.engine == LoopWorkStealing {
-			tc.stealLoop(ls, chunk, nil, body)
-			return
-		}
-		ctr := &ls.counter
+		ctr := &tc.team.loopEnter().counter
 		for {
 			start := int(ctr.Add(int64(chunk))) - chunk
 			if start >= n {
@@ -82,21 +109,10 @@ func (tc *ThreadContext) forNowait(n int, sched Schedule, body func(i int)) {
 		}
 	case ScheduleGuided:
 		minChunk := sched.normalizedChunk()
-		ls := tc.team.loopEnter(n)
-		if ls.engine == LoopWorkStealing {
-			// Per-thread guided: each claim halves the thread's own
-			// remaining range (threads=1 in the guidedChunk formula, since
-			// the range is private), floored at minChunk. The steal-half
-			// balancing plays the role the shrinking global chunk played.
-			tc.stealLoop(ls, 0, func(remaining int) int {
-				return guidedChunk(remaining, 1, minChunk)
-			}, body)
-			return
-		}
-		ctr := &ls.counter
+		ctr := &tc.team.loopEnter().counter
 		for {
-			// Guided over a shared counter: each grab takes a chunk sized
-			// by guidedChunk. Claim optimistically with a CAS loop.
+			// Each grab takes a chunk sized by guidedChunk from what the
+			// whole team has left. Claim optimistically with a CAS loop.
 			for {
 				cur := ctr.Load()
 				if int(cur) >= n {

@@ -88,3 +88,29 @@ func staticRange(n, thread, numThreads int) (lo, hi int) {
 	}
 	return lo, hi
 }
+
+// guidedChunk computes the next guided-schedule chunk for a loop with
+// `remaining` iterations left, `threads` claimants, and a requested minimum
+// chunk of `min`: the classic remaining/(2·threads), floored at min — with
+// the floor made honest at the tail. Clamping the final chunk to whatever
+// is left would let the last grabs shrink below the requested minimum when
+// remaining < threads·min; instead, a grab that would leave fewer than min
+// iterations behind swallows the tail whole, so every chunk the schedule
+// hands out has at least min iterations (the only exception being a loop
+// shorter than min to begin with).
+func guidedChunk(remaining, threads, min int) int {
+	if min < 1 {
+		min = 1
+	}
+	if remaining <= 0 {
+		return 0
+	}
+	c := remaining / (2 * threads)
+	if c < min {
+		c = min
+	}
+	if remaining-c < min {
+		c = remaining
+	}
+	return c
+}

@@ -1,6 +1,7 @@
 #!/bin/sh
-# The full pre-merge gate: build everything, vet everything, run every test
-# under the race detector. The runtime is a message-passing system built on
+# The full pre-merge gate: build everything, vet everything, check that
+# every tracked Go file is gofmt-clean, run every test under the race
+# detector. The runtime is a message-passing system built on
 # goroutines, so a -race pass is part of correctness, not a nicety.
 #
 # The global -timeout enforces the failure model's core promise at the CI
@@ -12,6 +13,16 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+
+# Formatting: every tracked Go file must be gofmt-clean. The list comes from
+# git so build caches and module copies under ignored directories (such as
+# .bench_build/) are never walked.
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "check.sh: gofmt needed on:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 # Static analysis beyond go vet: staticcheck, pinned by version so every
 # machine runs the same checker. The gate must also pass on an offline
